@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -25,7 +25,7 @@ from .laws import (
     permute_law,
 )
 from .rng import as_rng
-from .zonoid import DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, is_exact_law, support_centred, support_max
+from .zonoid import DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, exact_support, is_exact_law, projection_moments
 
 __all__ = [
     "EquivalenceReport",
@@ -93,16 +93,12 @@ def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
     return float(_norm.ppf(1.0 - alpha / (2.0 * m)))
 
 
-def _mc_direction_values(samples: np.ndarray, u: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "centred":
-        return np.abs(samples @ u)
-    if kind == "max":
-        return np.maximum((samples * u).max(axis=1), 0.0)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _exact_direction_value(law, u: np.ndarray, kind: str) -> float:
-    return (support_centred(law, u) if kind == "centred" else support_max(law, u)).value
+def _side_moments(law, samples, dirs: np.ndarray, kind: str):
+    """Support values and standard errors of one side: exact when it was not sampled."""
+    if samples is None:
+        return exact_support(law, dirs, kind), 0.0
+    mom = projection_moments(samples, dirs, kind)
+    return mom.mean, mom.se
 
 
 def _shared_driver(law_a, law_b, budget: int, rng):
@@ -150,9 +146,9 @@ def test_zonoid_equiv(
 ) -> EquivalenceReport:
     """Compare support functions of two laws over a direction grid.
 
-    ``samples_a``/``samples_b`` allow callers (the permutation testers) to
-    inject pre-drawn sample matrices; ``samples_coupled`` marks them as
-    pathwise-coupled so the difference is standardized as a paired sample.
+    ``samples_a``/``samples_b`` let a caller inject pre-drawn sample matrices;
+    ``samples_coupled`` marks them as pathwise-coupled so the difference is
+    standardized as a paired sample.
     """
     if law_a.dim != law_b.dim:
         raise ValueError(f"dimension mismatch: {law_a.dim} vs {law_b.dim}")
@@ -160,12 +156,14 @@ def test_zonoid_equiv(
         grid = DirectionGrid.default(law_a.dim)
     if grid.dim != law_a.dim:
         raise ValueError(f"grid dimension {grid.dim} does not match laws of dimension {law_a.dim}")
+    if kind not in ("centred", "max"):
+        raise ValueError(f"unknown kind {kind!r}")
+    dirs = grid.directions
     exact_a = is_exact_law(law_a) and samples_a is None
     exact_b = is_exact_law(law_b) and samples_b is None
     if exact_a and exact_b:
-        h_a = np.array([_exact_direction_value(law_a, u, kind) for u in grid.directions])
-        h_b = np.array([_exact_direction_value(law_b, u, kind) for u in grid.directions])
-        return _build_report(grid, h_a, h_b, np.zeros(len(grid)), "exact", tau, False, bonferroni)
+        return _build_report(grid, exact_support(law_a, dirs, kind), exact_support(law_b, dirs, kind),
+                             np.zeros(len(grid)), "exact", tau, False, bonferroni)
 
     rng = as_rng(seed)
     crn = samples_coupled
@@ -180,30 +178,14 @@ def test_zonoid_equiv(
     if not exact_b and samples_b is None:
         samples_b = law_b.sample(budget, rng)
 
-    m = len(grid)
-    h_a = np.empty(m)
-    h_b = np.empty(m)
-    pooled = np.empty(m)
-    for i, u in enumerate(grid.directions):
-        if exact_a:
-            va = None
-            h_a[i], se_a = _exact_direction_value(law_a, u, kind), 0.0
-        else:
-            va = _mc_direction_values(samples_a, u, kind)
-            h_a[i] = va.mean()
-            se_a = va.std(ddof=1) / math.sqrt(va.shape[0])
-        if exact_b:
-            vb = None
-            h_b[i], se_b = _exact_direction_value(law_b, u, kind), 0.0
-        else:
-            vb = _mc_direction_values(samples_b, u, kind)
-            h_b[i] = vb.mean()
-            se_b = vb.std(ddof=1) / math.sqrt(vb.shape[0])
-        if crn and va is not None and vb is not None and va.shape == vb.shape:
-            diff = va - vb
-            pooled[i] = diff.std(ddof=1) / math.sqrt(diff.shape[0])
-        else:
-            pooled[i] = math.hypot(se_a, se_b)
+    if crn and not exact_a and not exact_b and samples_a.shape[0] == samples_b.shape[0]:
+        m = len(grid)
+        mom = projection_moments((samples_a, samples_b), dirs, kind, pairs=(np.arange(m), np.arange(m, 2 * m)))
+        h_a, h_b, pooled = mom.mean[:m], mom.mean[m:], mom.paired_se
+    else:
+        h_a, se_a = _side_moments(law_a, samples_a, dirs, kind)
+        h_b, se_b = _side_moments(law_b, samples_b, dirs, kind)
+        pooled = np.hypot(se_a, se_b)
     return _build_report(grid, h_a, h_b, pooled, "statistical", tau, crn, bonferroni)
 
 
@@ -304,11 +286,15 @@ def test_swap_invariance(
 ) -> EquivalenceReport:
     """Worst-case zonoid comparison of a law against its coordinate permutations.
 
-    ``method`` selects between comparing the law with the permuted law and
-    comparing h(u) with h applied to the permuted direction; the two are the
-    same identity read from opposite sides and must agree.  Monte Carlo paths
-    couple the two sides pathwise (the permuted law is sampled by permuting
-    the columns of one shared sample matrix).
+    The permuted vector xi o pi projects onto u as xi onto pi^-1 u, so every
+    comparison is h(u) against h(pi^-1 u) of one law.  ``method`` matters in
+    exact mode only: ``"permute-law"`` evaluates the permuted law on the grid,
+    ``"permute-direction"`` the law on the permuted grid, and the two sides of
+    that identity must agree.  Monte Carlo mode always compares h(u) with
+    h(pi^-1 u) on one sample: each block of rows is projected once onto the
+    bitwise-distinct directions of the orbit {pi^-1 u}, and each pair is
+    standardized by its paired standard error.  A direction that pi fixes
+    shares its column with its image, so its delta is exactly 0.
     """
     if law.dim < 2:
         raise ValueError("swap-invariance needs d >= 2")
@@ -318,46 +304,50 @@ def test_swap_invariance(
     perms = _resolve_permutations(law.dim, permutations, rng)
     if grid is None:
         grid = DirectionGrid.default(law.dim)
+    dirs = grid.directions
+    m = len(grid)
+    inverses = np.argsort(np.array(perms), axis=1)
+    permuted_dirs = dirs[:, inverses].transpose(1, 0, 2)  # [p, i] = pi_p^-1 u_i
 
-    exact = is_exact_law(law)
-    samples = None if exact else law.sample(budget, rng)
-    worst: EquivalenceReport | None = None
-    worst_perm = None
-    all_pass = True
-    for perm in perms:
-        inv = np.empty(len(perm), dtype=int)
-        inv[list(perm)] = np.arange(len(perm))
-        if method == "permute-law":
-            if exact:
-                rep = test_zonoid_equiv(law, permute_law(law, perm), grid, budget, tau, rng,
-                                        bonferroni=bonferroni)
-            else:
-                rep = test_zonoid_equiv(law, law, grid, budget, tau, rng, bonferroni=bonferroni,
-                                        samples_a=samples, samples_b=samples[:, perm],
-                                        samples_coupled=True)
+    if is_exact_law(law):
+        mode, crn = "exact", False
+        h_a = np.broadcast_to(exact_support(law, dirs), (len(perms), m))
+        if method == "permute-direction":
+            h_b = exact_support(law, permuted_dirs.reshape(-1, law.dim)).reshape(len(perms), m)
         else:
-            pgrid = DirectionGrid(grid.directions[:, inv], f"{grid.construction}[permuted]")
-            if exact:
-                h_a = np.array([support_centred(law, u).value for u in grid.directions])
-                h_b = np.array([support_centred(law, u).value for u in pgrid.directions])
-                rep = _build_report(grid, h_a, h_b, np.zeros(len(grid)), "exact", tau, False, bonferroni)
-            else:
-                rep = test_zonoid_equiv(law, law, grid, budget, tau, rng, bonferroni=bonferroni,
-                                        samples_a=samples, samples_b=samples[:, perm],
-                                        samples_coupled=True)
+            h_b = np.stack([exact_support(permute_law(law, p), dirs) for p in perms])
+        pooled = np.zeros((len(perms), m))
+    else:
+        mode, crn = "statistical", True
+        orbit = np.concatenate([dirs[None], permuted_dirs]).reshape(-1, law.dim)
+        columns, col = _distinct_rows(orbit)
+        col = col.reshape(len(perms) + 1, m)
+        mom = projection_moments(law.sample(budget, rng), columns,
+                                 pairs=(np.tile(col[0], len(perms)), col[1:].ravel()))
+        h_a = np.broadcast_to(mom.mean[col[0]], (len(perms), m))
+        h_b = mom.mean[col[1:]]
+        pooled = mom.paired_se.reshape(len(perms), m)
+
+    worst, worst_perm, worst_score = None, None, -1.0
+    all_pass = True
+    for i, perm in enumerate(perms):
+        rep = _build_report(grid, h_a[i], h_b[i], pooled[i], mode, tau, crn, bonferroni)
         all_pass = all_pass and rep.verdict
-        score = rep.max_abs_delta if rep.mode == "exact" else rep.max_standardized
-        prev = -1.0 if worst is None else (
-            worst.max_abs_delta if worst.mode == "exact" else worst.max_standardized
-        )
-        if score > prev:
-            worst, worst_perm = rep, perm
-    report = EquivalenceReport(
-        worst.grid, worst.h_a, worst.h_b, worst.delta, worst.pooled_se,
-        worst.max_standardized, worst.worst_index, all_pass, worst.mode, tau, worst.crn,
-        {"worst_permutation": worst_perm, "n_permutations": len(perms), "method": method},
-    )
-    return report
+        score = rep.max_abs_delta if mode == "exact" else rep.max_standardized
+        if score > worst_score:
+            worst, worst_perm, worst_score = rep, perm, score
+    return replace(worst, verdict=all_pass, extras={
+        "worst_permutation": worst_perm, "n_permutations": len(perms), "method": method})
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-distinct rows in order of first appearance, and each row's index among them."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[inverse.ravel()]
 
 
 def test_lift_swap_invariance(

@@ -2,8 +2,9 @@
 
 Values are exact for discrete laws (enumeration over atoms) and for Gaussian
 laws (folded-normal moments); for every other law they are Monte Carlo
-estimates with a standard error.  One sample matrix can be reused across all
-directions of a grid, which is what the equivalence testers rely on.
+estimates with a standard error.  Whole grids go through one blocked kernel,
+``projection_moments``, which projects each block of sample rows onto every
+direction at once; the equivalence and swap testers share it.
 """
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ from .rng import as_rng
 DEFAULT_BUDGET = 100_000
 EXACT_TOL = 1e-10
 _COLLINEAR_TOL = 1e-10  # radians
+# One block of the projection kernel holds about this many values, whatever the
+# budget and the grid; rows per block follow from the number of columns.
+BLOCK_ELEMENTS = 1 << 17
+_GUARD_MIN_ROWS = 4096
+_GUARD_CHUNKS = (64, 4)  # chunk counts of the guard's small and big chunk means
 
 
 @dataclass(frozen=True)
@@ -133,28 +139,38 @@ def _gaussian_dir_moments(law: GaussianLaw, u: np.ndarray) -> tuple[float, float
     return m, math.sqrt(max(var, 0.0))
 
 
-def _integrability_guard(values: np.ndarray) -> None:
-    """Reject samples whose running mean is visibly diverging.
+def _guard_verdict(small: np.ndarray, big: np.ndarray, vmax: np.ndarray, total: np.ndarray) -> None:
+    """Raise when any stream's running mean is visibly diverging.
 
-    Heuristic with two signatures of a non-integrable stream: the median block
-    mean keeps growing with the block size, or a single draw carries a
-    macroscopic share of the whole sum.  Thresholds are set so integrable
-    heavy-tailed laws (finite mean, infinite variance) do not false-fire.
+    One column per stream: ``small`` and ``big`` hold the means of 64 and of 4
+    consecutive equal chunks of the stream, ``vmax`` and ``total`` its largest
+    value and its sum.  Heuristic with two signatures of a non-integrable
+    stream: the median chunk mean keeps growing with the chunk size, or a
+    single draw carries a macroscopic share of the whole sum.  Thresholds are
+    set so integrable heavy-tailed laws (finite mean, infinite variance) do not
+    false-fire.
     """
-    n = values.shape[0]
-    if n < 4096:
-        return
-    small = values[: n - n % 64].reshape(64, -1).mean(axis=1)
-    big = values[: n - n % 4].reshape(4, -1).mean(axis=1)
-    med_small = float(np.median(small))
-    total = float(values.sum())
-    growth = float(np.median(big)) / med_small if med_small > 0 else 1.0
-    dominance = float(values.max()) / total if total > 0 else 0.0
-    if growth > 1.25 or dominance > 0.2:
+    med_small = np.median(small, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = np.where(med_small > 0, np.median(big, axis=0) / med_small, 1.0)
+        dominance = np.where(total > 0, vmax / total, 0.0)
+    bad = np.flatnonzero((growth > 1.25) | (dominance > 0.2))
+    if bad.size:
+        i = bad[0]
         raise DiagnosticError(
             "running mean diverges across sample blocks; the law looks non-integrable "
-            f"(median block growth {growth:.3f}, max-term share {dominance:.3f})"
+            f"(median block growth {growth[i]:.3f}, max-term share {dominance[i]:.3f})"
         )
+
+
+def _integrability_guard(values: np.ndarray) -> None:
+    """Run the divergence guard on one stream held in memory."""
+    n = values.shape[0]
+    if n < _GUARD_MIN_ROWS:
+        return
+    small = values[: n - n % _GUARD_CHUNKS[0]].reshape(_GUARD_CHUNKS[0], -1).mean(axis=1)
+    big = values[: n - n % _GUARD_CHUNKS[1]].reshape(_GUARD_CHUNKS[1], -1).mean(axis=1)
+    _guard_verdict(small[:, None], big[:, None], np.array([values.max()]), np.array([values.sum()]))
 
 
 def _mc_estimate(values: np.ndarray) -> SupportEstimate:
@@ -241,27 +257,229 @@ def support_max(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None
     return _mc_estimate(np.maximum((samples * u).max(axis=1), 0.0))
 
 
-_KINDS = {
-    "centred": lambda law, u, budget, samples: support_centred(law, u, budget, samples=samples),
-    "noncentred": lambda law, u, budget, samples: support_noncentred(law, u, budget, samples=samples),
-    "max": lambda law, u, budget, samples: support_max(law, u, budget, samples=samples),
-}
-
-
 def is_exact_law(law) -> bool:
     """Whether support functions of this law are evaluated in closed form."""
     return isinstance(law, (DiscreteLaw, GaussianLaw))
 
 
+# ---------------------------------------------------------------------------
+# blocked projection-moment kernel
+# ---------------------------------------------------------------------------
+
+_FUNCTIONALS = ("centred", "noncentred", "max")
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectionMoments:
+    """Per-column means of f(<x, u>) over sample rows, with standard errors.
+
+    ``mean`` and ``se`` have one entry per direction column; ``paired_se`` has
+    one entry per requested column pair: the standard error of the mean of the
+    row-wise difference of the two columns.  ``n`` is the row count.
+    """
+
+    mean: np.ndarray
+    se: np.ndarray
+    paired_se: np.ndarray
+    n: int
+
+
+def _project(x: np.ndarray, directions: np.ndarray, kind: str, out: np.ndarray) -> None:
+    """Write f(<x, u>) into ``out``: one row per direction u, one column per row x."""
+    if kind == "max":
+        np.multiply(directions[:, :1], x[:, 0], out=out)
+        for j in range(1, x.shape[1]):
+            np.maximum(out, directions[:, j:j + 1] * x[:, j], out=out)
+    else:
+        np.matmul(directions, x.T, out=out)
+        if kind == "centred":
+            np.abs(out, out=out)
+            return
+    np.maximum(out, 0.0, out=out)
+
+
+def _as_index(idx: np.ndarray):
+    """A run of consecutive column indices as a slice (no gather), else the indices."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
+def _merge_pairwise(parts, combine):
+    """Fold a stream of partial results as a balanced binary tree.
+
+    Two partials of equal depth are combined as soon as both exist, so the
+    result depends only on the number of parts, and rounding grows with the
+    log of that number.
+    """
+    stack = []  # (depth, partial), depths strictly decreasing
+    for part in parts:
+        depth = 0
+        while stack and stack[-1][0] == depth:
+            part = combine(stack.pop()[1], part)
+            depth += 1
+        stack.append((depth, part))
+    result = stack.pop()[1]
+    while stack:
+        result = combine(stack.pop()[1], result)
+    return result
+
+
+def _chan_merge(a, b):
+    """Combine two (count, mean, M2) summaries (Chan, Golub & LeVeque, 1983)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+class _GuardStats:
+    """Chunk sums and maxima of each column, kept for the integrability guard."""
+
+    def __init__(self, n: int, k: int):
+        self.chunks = [(np.zeros((c, k)), n // c) for c in _GUARD_CHUNKS]
+        self.top = None  # elementwise running maximum over blocks, reduced at the end
+
+    def add(self, values: np.ndarray, start: int, sums_in_block: np.ndarray) -> None:
+        """Take in one block: one row per column, one entry per sample row from ``start``."""
+        r = values.shape[1]
+        stop = start + r
+        for sums, width in self.chunks:
+            end = min(stop, sums.shape[0] * width)  # rows past the last whole chunk are left out
+            if end <= start:
+                continue
+            first, last = start // width, (end - 1) // width
+            if first == last and end == stop:
+                sums[first] += sums_in_block
+            else:
+                cuts = np.arange(first + 1, last + 1) * width - start
+                sums[first:last + 1] += np.add.reduceat(values[:, : end - start], np.r_[0, cuts], axis=1).T
+        if self.top is None:
+            self.top = values.copy()
+        else:
+            np.maximum(self.top[:, :r], values, out=self.top[:, :r])
+
+    def check(self, mean: np.ndarray, n: int) -> None:
+        (small, w_small), (big, w_big) = self.chunks
+        _guard_verdict(small / w_small, big / w_big, self.top.max(axis=1), mean * n)
+
+
+def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
+                       pairs=None) -> ProjectionMoments:
+    """Moments of f(<x, u>) over the rows x of a sample, for every direction u.
+
+    f is |.| (``"centred"``), (.)_+ (``"noncentred"``) or the max functional
+    max(0, u_1 x_1, ..., u_d x_d) (``"max"``).  ``samples`` is an (n, d)
+    matrix, or a tuple of matrices whose rows are coupled (common random
+    numbers); each side is projected onto every row of ``directions`` and the
+    columns of the sides follow one another.  ``pairs`` = (a, b) names column
+    pairs whose row-wise difference gets a paired standard error; a pair of
+    equal columns gets exactly 0.
+
+    ``weights`` marks the rows as the atoms of a discrete law: each mean is then
+    the exact sum of w f, and every standard error is 0.  Otherwise each column
+    passes the integrability guard, from chunk sums and maxima kept on the way.
+
+    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values, one matrix
+    product per side and block.  Per-block (count, mean, M2) summaries are merged
+    pairwise (Chan, Golub & LeVeque, 1983): no raw sums of squares are formed.
+    """
+    if kind not in _FUNCTIONALS:
+        raise ValueError(f"unknown support kind {kind!r}")
+    sides = samples if isinstance(samples, tuple) else (samples,)
+    dirs = np.asarray(directions, dtype=float)
+    n = sides[0].shape[0]
+    if n < 1 or any(x.shape[0] != n for x in sides):
+        raise ValueError("every side needs the same, positive number of rows")
+    k = dirs.shape[0]
+    width = k * len(sides)
+    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
+    live = np.flatnonzero(a != b) if weights is None else np.zeros(0, dtype=np.intp)
+    pa, pb = _as_index(a[live]), _as_index(b[live])
+    total = width + live.size
+    rows = max(1, BLOCK_ELEMENTS // total)
+    guard = _GuardStats(n, width) if weights is None and n >= _GUARD_MIN_ROWS else None
+
+    def blocks():
+        # a block holds one row per column and one entry per sample row, so each
+        # column's values are contiguous for the reductions
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            block = np.empty((total, stop - start))
+            values = block[:width]
+            for s, x in enumerate(sides):
+                _project(x[start:stop], dirs, kind, values[s * k:(s + 1) * k])
+            if weights is not None:
+                yield values @ weights[start:stop]
+                continue
+            if live.size:
+                np.subtract(values[pa], values[pb], out=block[width:])
+            r = stop - start
+            ones = np.ones(r)
+            sums = block @ ones  # row sums through BLAS, faster than sum()
+            if guard is not None:
+                guard.add(values, start, sums[:width])
+            mean = sums / r
+            block -= mean[:, None]
+            # corrected two-pass step: the residual sum removes the rounding of
+            # the first mean, so a constant column gets its value and M2 = 0 exactly
+            resid = block @ ones
+            np.square(block, out=block)
+            m2 = block @ ones - resid * resid / r
+            yield r, mean + resid / r, np.maximum(m2, 0.0)
+
+    if weights is not None:
+        exact = _merge_pairwise(blocks(), np.add)
+        return ProjectionMoments(exact, np.zeros(width), np.zeros(a.size), n)
+    _, mean, m2 = _merge_pairwise(blocks(), _chan_merge)
+    if guard is not None:
+        guard.check(mean[:width], n)
+    se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(total)
+    paired = np.zeros(a.size)
+    paired[live] = se[width:]
+    return ProjectionMoments(mean[:width], se[:width], paired, n)
+
+
+_folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
+
+
+def exact_support(law, directions, kind: str = "centred") -> np.ndarray:
+    """Closed-form support values of a discrete or Gaussian law, one per direction row."""
+    dirs = np.asarray(directions, dtype=float)
+    if kind not in _FUNCTIONALS:
+        raise ValueError(f"unknown support kind {kind!r}")
+    if kind == "max" and isinstance(law, GaussianLaw):
+        if np.abs(law.cov).max() != 0.0:
+            raise ValueError("max-zonoid support requires a positive law")
+        law = DiscreteLaw(law.mean_vec[None, :], np.array([1.0]))  # degenerate point mass
+    if isinstance(law, DiscreteLaw):
+        if kind == "max" and not law.is_positive():
+            raise ValueError("max-zonoid support requires a law with positive atoms")
+        return projection_moments(law.atoms, dirs, kind, weights=law.weights).mean
+    if not isinstance(law, GaussianLaw):
+        raise TypeError(f"no closed-form support for {type(law).__name__}")
+    m = dirs @ law.mean_vec
+    s = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", dirs, law.cov, dirs), 0.0))
+    h = _folded_normal_mean(m, s).astype(float)
+    return h if kind == "centred" else 0.5 * (h + m)
+
+
 def grid_support(law, grid: DirectionGrid, kind: str = "centred", budget: int = DEFAULT_BUDGET,
                  seed=None, *, samples=None) -> list[SupportEstimate]:
     """Evaluate one support kind over a whole grid, sampling at most once."""
-    if kind not in _KINDS:
+    if kind not in _FUNCTIONALS:
         raise ValueError(f"unknown support kind {kind!r}")
-    if not is_exact_law(law) and samples is None:
+    if is_exact_law(law):
+        return [SupportEstimate(float(h), 0.0, 0, True) for h in exact_support(law, grid.directions, kind)]
+    if kind == "max" and law_is_positive(law) is False:
+        raise ValueError("max-zonoid support requires a positive law")
+    if samples is None:
         samples = _sample_for(law, budget, as_rng(seed) if seed is not None else None)
-    fn = _KINDS[kind]
-    return [fn(law, u, budget, samples) for u in grid.directions]
+    if kind == "max" and samples.min() < -1e-12:
+        raise DiagnosticError("sampled negativity beyond tolerance in a max-zonoid evaluation")
+    mom = projection_moments(samples, grid.directions, kind)
+    return [SupportEstimate(float(h), float(se), mom.n, False) for h, se in zip(mom.mean, mom.se)]
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +604,12 @@ def mean_width_check(law, nodes: int = 10_000, budget: int = DEFAULT_BUDGET, see
     if isinstance(law, DiscreteLaw):
         enorm = float(law.weights @ np.linalg.norm(law.atoms, axis=1))
         enorm_se = 0.0
-        integral = float(w @ np.abs(pts @ law.atoms.T) @ law.weights)
-    elif isinstance(law, GaussianLaw):
-        samples = _sample_for(law, budget, rng)
-        norms = np.linalg.norm(samples, axis=1)
-        enorm = float(norms.mean())
-        enorm_se = float(norms.std(ddof=1)) / math.sqrt(len(norms))
-        hvals = np.array([support_centred(law, u).value for u in pts])
-        integral = float(w @ hvals)
     else:
         samples = _sample_for(law, budget, rng)
         norms = np.linalg.norm(samples, axis=1)
         enorm = float(norms.mean())
         enorm_se = float(norms.std(ddof=1)) / math.sqrt(len(norms))
-        integral = float(w @ np.abs(pts @ samples.T).mean(axis=1))
+    hvals = exact_support(law, pts) if is_exact_law(law) else projection_moments(samples, pts).mean
+    integral = float(w @ hvals)
     identity = integral / (2.0 * unit_ball_volume(d - 1))
     return MeanWidthReport(enorm, identity, abs(enorm - identity), enorm_se, nodes)

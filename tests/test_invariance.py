@@ -176,6 +176,28 @@ def test_swap_methods_agree():
     assert r1.verdict == r2.verdict
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_invariant_lognormal_swap_law_not_rejected(seed):
+    # a direction fixed by a permutation once got a roundoff delta divided by a
+    # roundoff SE, which rejected this invariant law on most seeds
+    rep = test_swap_invariance(lognormal_swap_law([0.5], 4), "all", budget=20_000, seed=seed,
+                               bonferroni=True)
+    assert rep.mode == "statistical"
+    assert rep.verdict, f"max standardized {rep.max_standardized}"
+
+
+def test_swap_directions_fixed_by_the_permutation_get_zero_delta():
+    perm = (1, 0, 2, 3)
+    rep = test_swap_invariance(lognormal_swap_law([0.5], 4), [perm], budget=20_000, seed=0)
+    dirs = rep.grid.directions
+    inv = np.argsort(perm)
+    fixed = np.all(dirs[:, inv].view(np.int64) == dirs.view(np.int64), axis=1)
+    assert fixed.any() and not fixed.all()
+    assert np.all(rep.delta[fixed] == 0.0)
+    assert np.all(rep.pooled_se[fixed] == 0.0)
+    assert np.all(rep.pooled_se[~fixed] > 0.0)
+
+
 def test_permutation_as_direction_identity_exact():
     rng = as_rng(41)
     for _ in range(40):

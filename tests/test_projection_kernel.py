@@ -1,0 +1,195 @@
+"""The blocked projection-moment kernel against a direct two-pass reference."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import zonoids.zonoid as zonoid_mod
+from zonoids.errors import DiagnosticError
+from zonoids.invariance import test_zonoid_equiv
+from zonoids.laws import GaussianLaw, LognormalLaw, SamplerLaw
+from zonoids.rng import as_rng
+from zonoids.zonoid import (
+    _integrability_guard,
+    exact_support,
+    mean_width_check,
+    projection_moments,
+    sphere_quadrature,
+    unit_ball_volume,
+)
+
+REL = 1e-12
+
+
+def reference_values(x, dirs, kind):
+    """f(<x, u>) per row and direction, computed directly."""
+    if kind == "max":
+        return np.maximum((x[:, None, :] * dirs[None, :, :]).max(axis=2), 0.0)
+    proj = x @ dirs.T
+    return np.abs(proj) if kind == "centred" else np.maximum(proj, 0.0)
+
+
+def reference_se(values):
+    return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+
+
+def assert_close(got, want, floor=0.0):
+    """Agreement within REL relative; ``floor`` absorbs the reference's own roundoff near 0."""
+    assert np.all(np.abs(got - want) <= REL * np.abs(want) + floor), (got, want)
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.standard_normal((n, d)))
+    if draw(st.booleans()):
+        x[:, 0] = x[0, 0]  # a constant coordinate
+    dirs = rng.standard_normal((k, d))
+    return x, dirs, draw(st.sampled_from(["centred", "noncentred", "max"])), rng
+
+
+# A small block size walks even small samples in several blocks, most of them
+# ending off a multiple of the block size; the module value runs them in one.
+BLOCK_SIZES = [7, 61, zonoid_mod.BLOCK_ELEMENTS]
+
+
+def roundoff(values):
+    return 1e-15 * np.abs(values).max()
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(problem=problems())
+def test_kernel_matches_two_pass_reference(block, problem):
+    x, dirs, kind, rng = problem
+    k = dirs.shape[0]
+    a = rng.integers(0, k, size=5)
+    b = rng.integers(0, k, size=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
+        mom = projection_moments(x, dirs, kind, pairs=(a, b))
+        again = projection_moments(x, dirs, kind, pairs=(a, b))
+    values = reference_values(x, dirs, kind)
+    assert mom.n == x.shape[0]
+    assert_close(mom.mean, values.mean(axis=0))
+    assert_close(mom.se, reference_se(values), roundoff(values))
+    assert_close(mom.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
+    assert np.all(mom.paired_se[a == b] == 0.0)
+    for field in ("mean", "se", "paired_se"):
+        assert getattr(again, field).tobytes() == getattr(mom, field).tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=25, deadline=None)
+@given(problem=problems())
+def test_kernel_coupled_sides_and_weighted_atoms(block, problem):
+    x, dirs, kind, rng = problem
+    k = dirs.shape[0]
+    y = x * np.exp(0.1 * rng.standard_normal(x.shape))
+    w = rng.uniform(0.1, 1.0, size=x.shape[0])
+    w /= w.sum()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
+        mom = projection_moments((x, y), dirs, kind, pairs=(np.arange(k), np.arange(k, 2 * k)))
+        exact = projection_moments(x, dirs, kind, weights=w, pairs=([0], [k - 1]))
+    vx, vy = reference_values(x, dirs, kind), reference_values(y, dirs, kind)
+    assert_close(mom.mean, np.concatenate([vx.mean(axis=0), vy.mean(axis=0)]))
+    assert_close(mom.paired_se, reference_se(vx - vy), roundoff(np.concatenate([vx, vy])))
+    assert_close(exact.mean, w @ vx)
+    assert np.all(exact.se == 0.0) and np.all(exact.paired_se == 0.0)
+
+
+def test_kernel_constant_columns_have_zero_se():
+    x = np.column_stack([np.full(10_007, 0.1), np.full(10_007, 0.3)])
+    dirs = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+    mom = projection_moments(x, dirs, pairs=([0, 1], [1, 2]))
+    assert mom.mean.tolist() == pytest.approx([0.3, 0.1, 0.3], rel=REL)
+    assert np.all(mom.se == 0.0) and np.all(mom.paired_se == 0.0)
+
+
+def test_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        projection_moments(np.ones((3, 2)), np.eye(2), "lift")
+    with pytest.raises(ValueError):
+        projection_moments((np.ones((3, 2)), np.ones((4, 2))), np.eye(2))
+
+
+def test_equiv_with_one_exact_side_matches_reference():
+    gauss = GaussianLaw([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]])
+    logn = LognormalLaw(GaussianLaw([-0.5, -0.5], np.eye(2)))
+    rep = test_zonoid_equiv(gauss, logn, budget=30_000, seed=5)
+    dirs = rep.grid.directions
+    samples = logn.sample(30_000, as_rng(5))
+    values = np.abs(samples @ dirs.T)
+    assert_close(rep.h_a, exact_support(gauss, dirs))
+    assert_close(rep.h_b, values.mean(axis=0))
+    assert_close(rep.pooled_se, reference_se(values), roundoff(values))
+
+
+def test_equiv_crn_matches_reference():
+    a = LognormalLaw(GaussianLaw([-0.5, -0.5], np.eye(2)))
+    b = LognormalLaw(GaussianLaw([-1.0, -1.0], [[2.0, 1.0], [1.0, 2.0]]))
+    rep = test_zonoid_equiv(a, b, budget=50_000, seed=9)
+    assert rep.crn
+    z = as_rng(9).standard_normal((50_000, 2))
+    va = np.abs(a.sample_with_driver(z) @ rep.grid.directions.T)
+    vb = np.abs(b.sample_with_driver(z) @ rep.grid.directions.T)
+    assert_close(rep.h_a, va.mean(axis=0))
+    assert_close(rep.h_b, vb.mean(axis=0))
+    assert_close(rep.pooled_se, reference_se(va - vb), roundoff(va))
+    assert np.all(np.abs(rep.delta - (va.mean(axis=0) - vb.mean(axis=0))) <= REL * np.abs(rep.h_a).max())
+
+
+# ---------------------------------------------------------------------------
+# integrability guard
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_guard_agrees_with_in_memory_guard(seed):
+    x = as_rng(seed).standard_cauchy((100_003, 1))
+
+    def outcome(fn):
+        try:
+            fn()
+        except DiagnosticError as exc:
+            return str(exc)
+        return None
+
+    direct = outcome(lambda: _integrability_guard(np.abs(x[:, 0])))
+    blocked = outcome(lambda: projection_moments(x, np.array([[1.0]])))
+    assert blocked == direct
+
+
+def test_equiv_guard_fires_on_cauchy_pair():
+    cauchy = SamplerLaw(2, lambda rng, n: rng.standard_cauchy((n, 2)))
+    with pytest.raises(DiagnosticError):
+        test_zonoid_equiv(cauchy, cauchy, budget=100_000, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# mean width memory
+# ---------------------------------------------------------------------------
+
+def test_mean_width_monte_carlo_memory_is_bounded():
+    import tracemalloc
+
+    law = LognormalLaw(GaussianLaw([-0.5, -0.2], [[1.0, 0.3], [0.3, 0.8]]))
+    nodes, budget = 1_000, 20_000
+    tracemalloc.start()
+    try:
+        rep = mean_width_check(law, nodes=nodes, budget=budget, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # the dense nodes x budget evaluation, on the same sample
+    pts, w = sphere_quadrature(2, nodes)
+    samples = law.sample(budget, as_rng(13))
+    dense = float(w @ np.abs(pts @ samples.T).mean(axis=1)) / (2.0 * unit_ball_volume(1))
+    assert abs(rep.identity_value - dense) <= REL * dense

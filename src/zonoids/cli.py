@@ -62,14 +62,7 @@ from .laws import (
     sequence_model_from_json,
     sequence_model_to_json,
 )
-from .zonoid import (
-    DirectionGrid,
-    grid_support,
-    is_exact_law,
-    mean_width_check,
-    support_lift,
-    zonotope_2d,
-)
+from .zonoid import DirectionGrid, mean_width_check, support_at, zonotope_2d
 
 _STATISTICAL_MIN_BUDGET = 1_000
 
@@ -185,16 +178,10 @@ def _equiv_tables(report) -> dict:
 def _cmd_support(args) -> int:
     law = _load_law(args.law)
     grid = _build_grid(args.grid, law.dim, args.seed)
+    dirs = grid.directions
     if args.kind == "lift":
-        samples = None
-        if not is_exact_law(law):
-            if args.seed is None:
-                raise SchemaError("a seed is required to evaluate this law by Monte Carlo")
-            samples = law.sample(args.budget, np.random.default_rng(args.seed))
-        ests = [support_lift(law, args.k, u, args.budget, samples=samples)
-                for u in grid.directions]
-    else:
-        ests = grid_support(law, grid, args.kind, args.budget, args.seed)
+        dirs = np.column_stack([np.full(len(grid), args.k), dirs])  # rows (k, u)
+    ests = support_at(law, dirs, args.kind, args.budget, args.seed)
     rows = list(report_mod.support_table_rows(grid, ests))
     result = {
         "kind": args.kind,
@@ -221,7 +208,8 @@ def _cmd_swap(args) -> int:
     law = _load_law(args.law)
     grid = _build_grid(args.grid, law.dim, args.seed)
     perms = "all" if args.perms == "all" else int(args.perms)
-    report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed)
+    report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
+                                  bonferroni=args.bonferroni)
     _emit(args, "swap", {"law": law_to_json(law)}, _equiv_result(report), _equiv_tables(report))
     return 0 if report.verdict else 1
 
@@ -229,7 +217,8 @@ def _cmd_swap(args) -> int:
 def _cmd_lift_swap(args) -> int:
     law = _load_law(args.law)
     grid = _build_grid(args.grid, law.dim + 1, args.seed)
-    report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed)
+    report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
+                                       bonferroni=args.bonferroni)
     _emit(args, "lift-swap", {"law": law_to_json(law)}, _equiv_result(report), _equiv_tables(report))
     return 0 if report.verdict else 1
 
@@ -239,7 +228,8 @@ def _cmd_stationarity(args) -> int:
     times = _parse_floats(args.times)
     grid = _build_grid(args.grid, len(times), args.seed)
     report = test_zonoid_stationarity(process, times, args.shift, grid,
-                                      _check_budget(args.budget), _check_tau(args.tau), args.seed)
+                                      _check_budget(args.budget), _check_tau(args.tau), args.seed,
+                                      bonferroni=args.bonferroni)
     _emit(args, "stationarity",
           {"process": process_to_json(process), "times": times, "shift": args.shift},
           _equiv_result(report), _equiv_tables(report))
@@ -440,7 +430,7 @@ def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = Fals
     if tau:
         p.add_argument("--tau", type=float, default=3.0, help="standardized-discrepancy threshold")
         p.add_argument("--bonferroni", action="store_true",
-                       help="spread the tau level over the grid size")
+                       help="spread the tau level over all comparisons (directions, x permutations for swap)")
     if grid:
         p.add_argument("--grid", default="default", help="direction grid spec")
 

@@ -9,7 +9,6 @@ estimated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .laws import (
     law_mean,
     sequence_prefix,
 )
-from .rng import spawn_rngs
+from .rng import run_chunked, spawn_rngs
 
 DEFAULT_CHECKPOINTS = (100, 1_000, 10_000, 100_000)
 
@@ -88,12 +87,7 @@ def run_averages(model, checkpoints=DEFAULT_CHECKPOINTS, paths: int = 50, seed=0
             averages[i] = _checkpoint_averages(path, checkpoints)
             aux_states[i] = aux
 
-    if workers <= 1 or paths < 2 * workers:
-        run(range(paths))
-    else:
-        chunks = np.array_split(np.arange(paths), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: run(c.tolist()), chunks))
+    run_chunked(run, paths, workers)
 
     oracles = None
     if has_oracle(model):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .errors import InternalConsistencyError
 from .laws import (
@@ -86,11 +86,11 @@ def _standardize(delta: np.ndarray, se: np.ndarray) -> np.ndarray:
 
 
 def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
-    """Per-direction threshold; Bonferroni spreads the base level over m directions."""
+    """Per-comparison threshold; Bonferroni spreads the two-sided level of tau over m comparisons."""
     if not bonferroni:
         return tau
-    alpha = 2.0 * (1.0 - _norm.cdf(tau))
-    return float(_norm.ppf(1.0 - alpha / (2.0 * m)))
+    alpha = math.erfc(tau / math.sqrt(2.0))
+    return NormalDist().inv_cdf(1.0 - alpha / (2.0 * m))
 
 
 def _side_moments(law, samples, dirs: np.ndarray, kind: str):
@@ -295,6 +295,7 @@ def test_swap_invariance(
     bitwise-distinct directions of the orbit {pi^-1 u}, and each pair is
     standardized by its paired standard error.  A direction that pi fixes
     shares its column with its image, so its delta is exactly 0.
+    ``bonferroni`` spreads the level over directions x permutations.
     """
     if law.dim < 2:
         raise ValueError("swap-invariance needs d >= 2")
@@ -329,14 +330,14 @@ def test_swap_invariance(
         pooled = mom.paired_se.reshape(len(perms), m)
 
     worst, worst_perm, worst_score = None, None, -1.0
-    all_pass = True
     for i, perm in enumerate(perms):
-        rep = _build_report(grid, h_a[i], h_b[i], pooled[i], mode, tau, crn, bonferroni)
-        all_pass = all_pass and rep.verdict
+        rep = _build_report(grid, h_a[i], h_b[i], pooled[i], mode, tau, crn, False)
         score = rep.max_abs_delta if mode == "exact" else rep.max_standardized
         if score > worst_score:
             worst, worst_perm, worst_score = rep, perm, score
-    return replace(worst, verdict=all_pass, extras={
+    # one comparison per direction and permutation
+    limit = EXACT_TOL if mode == "exact" else effective_tau(tau, m * len(perms), bonferroni)
+    return replace(worst, verdict=bool(worst_score <= limit), extras={
         "worst_permutation": worst_perm, "n_permutations": len(perms), "method": method})
 
 

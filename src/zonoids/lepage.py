@@ -11,15 +11,13 @@ non-decreasing in the truncation depth for a fixed seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .invariance import test_zonoid_stationarity
 from .laws import DiscreteLaw, GaussianLaw, law_is_positive
-from .rng import as_rng, spawn_rngs
+from .rng import as_rng, run_chunked, spawn_rngs
 from .zonoid import DEFAULT_BUDGET, DirectionGrid, support_centred
 
 _BLOCK = 128  # draw granularity in max mode; fixed so prefixes agree across depths
@@ -148,12 +146,7 @@ def simulate_lepage(cfg: LePageConfig, workers: int = 1) -> LePageResult:
             tail[i] = t
             used[i] = u
 
-    if workers <= 1 or cfg.paths < 2 * workers:
-        run(range(cfg.paths))
-    else:
-        chunks = np.array_split(np.arange(cfg.paths), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda c: run(c.tolist()), chunks))
+    run_chunked(run, cfg.paths, workers)
     return LePageResult(values, tail, used)
 
 
@@ -244,6 +237,8 @@ def stationarity_cross_check(
     after the shift and compares their empirical distributions with
     two-sample KS tests on random projections (Bonferroni across projections).
     """
+    from scipy.stats import ks_2samp  # the only scipy use; kept off the import path
+
     times = [float(t) for t in times]
     shifts = [float(s) for s in shifts]
     zonoid_verdicts = []

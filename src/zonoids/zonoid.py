@@ -2,9 +2,11 @@
 
 Values are exact for discrete laws (enumeration over atoms) and for Gaussian
 laws (folded-normal moments); for every other law they are Monte Carlo
-estimates with a standard error.  Whole grids go through one blocked kernel,
-``projection_moments``, which projects each block of sample rows onto every
-direction at once; the equivalence and swap testers share it.
+estimates with a standard error.  One evaluator, ``support_at``, serves every
+kind at every direction: exact laws go through ``exact_support``, samples
+through one blocked kernel, ``projection_moments``, which projects each block
+of sample rows onto every direction at once; the equivalence and swap testers
+share it.  ``grid_support`` and the ``support_*`` functions are views of it.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError
-from .laws import DiscreteLaw, GaussianLaw, LognormalLaw, law_is_positive
+from .laws import DiscreteLaw, GaussianLaw, law_is_positive, lift_law
 from .rng import as_rng
 
 DEFAULT_BUDGET = 100_000
@@ -25,6 +27,7 @@ _COLLINEAR_TOL = 1e-10  # radians
 BLOCK_ELEMENTS = 1 << 17
 _GUARD_MIN_ROWS = 4096
 _GUARD_CHUNKS = (64, 4)  # chunk counts of the guard's small and big chunk means
+_GUARD_DENSE = 64  # nonzero values the first small chunk needs before growth is read
 
 
 @dataclass(frozen=True)
@@ -133,26 +136,25 @@ def gaussian_abs_moment(m: float, s: float) -> float:
     )
 
 
-def _gaussian_dir_moments(law: GaussianLaw, u: np.ndarray) -> tuple[float, float]:
-    m = float(law.mean_vec @ u)
-    var = float(u @ law.cov @ u)
-    return m, math.sqrt(max(var, 0.0))
-
-
-def _guard_verdict(small: np.ndarray, big: np.ndarray, vmax: np.ndarray, total: np.ndarray) -> None:
+def _guard_verdict(small: np.ndarray, big: np.ndarray, vmax: np.ndarray, total: np.ndarray,
+                   nonzero: np.ndarray) -> None:
     """Raise when any stream's running mean is visibly diverging.
 
     One column per stream: ``small`` and ``big`` hold the means of 64 and of 4
     consecutive equal chunks of the stream, ``vmax`` and ``total`` its largest
-    value and its sum.  Heuristic with two signatures of a non-integrable
-    stream: the median chunk mean keeps growing with the chunk size, or a
-    single draw carries a macroscopic share of the whole sum.  Thresholds are
-    set so integrable heavy-tailed laws (finite mean, infinite variance) do not
-    false-fire.
+    value and its sum, ``nonzero`` the count of nonzero values in its first
+    small chunk.  Heuristic with two signatures of a non-integrable stream: the
+    median chunk mean keeps growing with the chunk size, or a single draw
+    carries a macroscopic share of the whole sum.  Thresholds are set so
+    integrable heavy-tailed laws (finite mean, infinite variance) do not
+    false-fire.  Small chunks that hold only a few nonzero values have a median
+    mean biased low, so growth is read only where ``nonzero`` reaches
+    ``_GUARD_DENSE``.
     """
     med_small = np.median(small, axis=0)
+    dense = nonzero >= _GUARD_DENSE
     with np.errstate(divide="ignore", invalid="ignore"):
-        growth = np.where(med_small > 0, np.median(big, axis=0) / med_small, 1.0)
+        growth = np.where(dense & (med_small > 0), np.median(big, axis=0) / med_small, 1.0)
         dominance = np.where(total > 0, vmax / total, 0.0)
     bad = np.flatnonzero((growth > 1.25) | (dominance > 0.2))
     if bad.size:
@@ -170,96 +172,14 @@ def _integrability_guard(values: np.ndarray) -> None:
         return
     small = values[: n - n % _GUARD_CHUNKS[0]].reshape(_GUARD_CHUNKS[0], -1).mean(axis=1)
     big = values[: n - n % _GUARD_CHUNKS[1]].reshape(_GUARD_CHUNKS[1], -1).mean(axis=1)
-    _guard_verdict(small[:, None], big[:, None], np.array([values.max()]), np.array([values.sum()]))
+    _guard_verdict(small[:, None], big[:, None], np.array([values.max()]), np.array([values.sum()]),
+                   np.array([np.count_nonzero(values[: n // _GUARD_CHUNKS[0]])]))
 
 
-def _mc_estimate(values: np.ndarray) -> SupportEstimate:
-    _integrability_guard(values)
-    n = values.shape[0]
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
-    return SupportEstimate(float(values.mean()), sd / math.sqrt(n), n, False)
-
-
-def _sample_for(law, budget: int, rng) -> np.ndarray:
-    if rng is None:
+def _sample_for(law, budget: int, seed) -> np.ndarray:
+    if seed is None:
         raise ValueError("a seed or generator is required for Monte Carlo support evaluation")
-    return law.sample(int(budget), rng)
-
-
-# ---------------------------------------------------------------------------
-# support-function evaluators
-# ---------------------------------------------------------------------------
-
-def support_centred(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
-    """Support of the centred zonoid: E|<u, xi>|.
-
-    ``samples`` lets a caller reuse one sample matrix across many directions.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    if isinstance(law, DiscreteLaw):
-        return SupportEstimate(float(law.weights @ np.abs(law.atoms @ u)), 0.0, 0, True)
-    if isinstance(law, GaussianLaw):
-        m, s = _gaussian_dir_moments(law, u)
-        return SupportEstimate(gaussian_abs_moment(m, s), 0.0, 0, True)
-    if samples is None:
-        samples = _sample_for(law, budget, as_rng(seed) if seed is not None else None)
-    return _mc_estimate(np.abs(samples @ u))
-
-
-def support_noncentred(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
-    """Support of the (non-centred) zonoid: E<u, xi>_+.
-
-    Exact paths are built as (E|<u,xi>| + <E xi, u>) / 2 so the decomposition
-    identity holds to machine precision.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    if isinstance(law, DiscreteLaw):
-        return SupportEstimate(float(law.weights @ np.maximum(law.atoms @ u, 0.0)), 0.0, 0, True)
-    if isinstance(law, GaussianLaw):
-        m, s = _gaussian_dir_moments(law, u)
-        return SupportEstimate(0.5 * (gaussian_abs_moment(m, s) + m), 0.0, 0, True)
-    if samples is None:
-        samples = _sample_for(law, budget, as_rng(seed) if seed is not None else None)
-    return _mc_estimate(np.maximum(samples @ u, 0.0))
-
-
-def support_lift(law, k: float, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
-    """Lift-zonoid support h(k, u) = E(k + <u, xi>)_+."""
-    u = np.asarray(u, dtype=float).ravel()
-    k = float(k)
-    if isinstance(law, DiscreteLaw):
-        return SupportEstimate(float(law.weights @ np.maximum(k + law.atoms @ u, 0.0)), 0.0, 0, True)
-    if isinstance(law, GaussianLaw):
-        m, s = _gaussian_dir_moments(law, u)
-        return SupportEstimate(0.5 * (gaussian_abs_moment(m + k, s) + m + k), 0.0, 0, True)
-    if samples is None:
-        samples = _sample_for(law, budget, as_rng(seed) if seed is not None else None)
-    return _mc_estimate(np.maximum(k + samples @ u, 0.0))
-
-
-def support_max(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
-    """Max-zonoid support E max(0, u_1 eta_1, ..., u_d eta_d) for positive laws."""
-    u = np.asarray(u, dtype=float).ravel()
-    if isinstance(law, GaussianLaw) and np.abs(law.cov).max() == 0.0:
-        law = DiscreteLaw(law.mean_vec[None, :], np.array([1.0]))  # degenerate point mass
-    if isinstance(law, DiscreteLaw):
-        if not law.is_positive():
-            raise ValueError("max-zonoid support requires a law with positive atoms")
-        scaled = law.atoms * u
-        vals = np.maximum(scaled.max(axis=1), 0.0)
-        return SupportEstimate(float(law.weights @ vals), 0.0, 0, True)
-    if law_is_positive(law) is False:
-        raise ValueError("max-zonoid support requires a positive law")
-    if samples is None:
-        samples = _sample_for(law, budget, as_rng(seed) if seed is not None else None)
-    if samples.min() < -1e-12:
-        raise DiagnosticError("sampled negativity beyond tolerance in a max-zonoid evaluation")
-    return _mc_estimate(np.maximum((samples * u).max(axis=1), 0.0))
-
-
-def is_exact_law(law) -> bool:
-    """Whether support functions of this law are evaluated in closed form."""
-    return isinstance(law, (DiscreteLaw, GaussianLaw))
+    return law.sample(int(budget), as_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +260,7 @@ class _GuardStats:
     def __init__(self, n: int, k: int):
         self.chunks = [(np.zeros((c, k)), n // c) for c in _GUARD_CHUNKS]
         self.top = None  # elementwise running maximum over blocks, reduced at the end
+        self.nonzero = np.zeros(k, dtype=np.intp)  # in the first small chunk
 
     def add(self, values: np.ndarray, start: int, sums_in_block: np.ndarray) -> None:
         """Take in one block: one row per column, one entry per sample row from ``start``."""
@@ -355,6 +276,9 @@ class _GuardStats:
             else:
                 cuts = np.arange(first + 1, last + 1) * width - start
                 sums[first:last + 1] += np.add.reduceat(values[:, : end - start], np.r_[0, cuts], axis=1).T
+        first_chunk = self.chunks[0][1]
+        if start < first_chunk:
+            self.nonzero += np.count_nonzero(values[:, : first_chunk - start], axis=1)
         if self.top is None:
             self.top = values.copy()
         else:
@@ -362,7 +286,7 @@ class _GuardStats:
 
     def check(self, mean: np.ndarray, n: int) -> None:
         (small, w_small), (big, w_big) = self.chunks
-        _guard_verdict(small / w_small, big / w_big, self.top.max(axis=1), mean * n)
+        _guard_verdict(small / w_small, big / w_big, self.top.max(axis=1), mean * n, self.nonzero)
 
 
 def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
@@ -465,21 +389,68 @@ def exact_support(law, directions, kind: str = "centred") -> np.ndarray:
     return h if kind == "centred" else 0.5 * (h + m)
 
 
-def grid_support(law, grid: DirectionGrid, kind: str = "centred", budget: int = DEFAULT_BUDGET,
-                 seed=None, *, samples=None) -> list[SupportEstimate]:
-    """Evaluate one support kind over a whole grid, sampling at most once."""
+def is_exact_law(law) -> bool:
+    """Whether support functions of this law are evaluated in closed form."""
+    return isinstance(law, (DiscreteLaw, GaussianLaw))
+
+
+def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUDGET, seed=None, *,
+               samples=None) -> list[SupportEstimate]:
+    """One support kind at every row of ``directions``, sampling at most once.
+
+    ``kind`` is a kernel functional or ``"lift"``: the lift-zonoid support
+    h(k, u) = E(k + <u, xi>)_+ is the non-centred support of (1, xi) at (k, u),
+    so its rows are (k, u) in R^{d+1}.  Exact laws are lifted by ``lift_law``; a
+    sample of xi gets a column of ones in front.
+    """
+    dirs = np.asarray(directions, dtype=float)
+    lift = kind == "lift"
+    if lift:
+        kind = "noncentred"
     if kind not in _FUNCTIONALS:
         raise ValueError(f"unknown support kind {kind!r}")
     if is_exact_law(law):
-        return [SupportEstimate(float(h), 0.0, 0, True) for h in exact_support(law, grid.directions, kind)]
+        values = exact_support(lift_law(law) if lift else law, dirs, kind)
+        return [SupportEstimate(float(h), 0.0, 0, True) for h in values]
     if kind == "max" and law_is_positive(law) is False:
         raise ValueError("max-zonoid support requires a positive law")
     if samples is None:
-        samples = _sample_for(law, budget, as_rng(seed) if seed is not None else None)
+        samples = _sample_for(law, budget, seed)
     if kind == "max" and samples.min() < -1e-12:
         raise DiagnosticError("sampled negativity beyond tolerance in a max-zonoid evaluation")
-    mom = projection_moments(samples, grid.directions, kind)
+    if lift:
+        samples = np.column_stack([np.ones(samples.shape[0]), samples])
+    mom = projection_moments(samples, dirs, kind)
     return [SupportEstimate(float(h), float(se), mom.n, False) for h, se in zip(mom.mean, mom.se)]
+
+
+def grid_support(law, grid: DirectionGrid, kind: str = "centred", budget: int = DEFAULT_BUDGET,
+                 seed=None, *, samples=None) -> list[SupportEstimate]:
+    """Evaluate one support kind over a whole grid, sampling at most once."""
+    return support_at(law, grid.directions, kind, budget, seed, samples=samples)
+
+
+# The per-direction evaluators are one-row views of ``support_at``.  ``samples``
+# lets a caller reuse one sample matrix across many directions.
+
+def support_centred(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
+    """Support of the centred zonoid: E|<u, xi>|."""
+    return support_at(law, [np.ravel(u)], "centred", budget, seed, samples=samples)[0]
+
+
+def support_noncentred(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
+    """Support of the (non-centred) zonoid: E<u, xi>_+ = (E|<u, xi>| + <E xi, u>) / 2."""
+    return support_at(law, [np.ravel(u)], "noncentred", budget, seed, samples=samples)[0]
+
+
+def support_lift(law, k: float, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
+    """Lift-zonoid support h(k, u) = E(k + <u, xi>)_+."""
+    return support_at(law, [np.r_[float(k), np.ravel(u)]], "lift", budget, seed, samples=samples)[0]
+
+
+def support_max(law, u, budget: int = DEFAULT_BUDGET, seed=None, *, samples=None) -> SupportEstimate:
+    """Max-zonoid support E max(0, u_1 eta_1, ..., u_d eta_d) for positive laws."""
+    return support_at(law, [np.ravel(u)], "max", budget, seed, samples=samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +516,13 @@ def zonotope_2d(law: DiscreteLaw) -> Zonotope2D:
 
 
 def _check_zonotope(law: DiscreteLaw, vertices: np.ndarray) -> None:
-    grid = DirectionGrid.circle(64)
-    for u in grid.directions:
-        poly = float((vertices @ u).max())
-        exact = float(law.weights @ np.abs(law.atoms @ u))
-        if abs(poly - exact) > 1e-10:
-            raise DiagnosticError(
-                f"zonogon support mismatch at direction {u}: {poly!r} vs {exact!r}"
-            )
+    dirs = DirectionGrid.circle(64).directions
+    poly = (vertices @ dirs.T).max(axis=0)
+    exact = exact_support(law, dirs)
+    bad = np.flatnonzero(np.abs(poly - exact) > 1e-10)
+    if bad.size:
+        i = bad[0]
+        raise DiagnosticError(f"zonogon support mismatch at direction {dirs[i]}: {poly[i]!r} vs {exact[i]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +570,11 @@ def mean_width_check(law, nodes: int = 10_000, budget: int = DEFAULT_BUDGET, see
     """
     d = law.dim
     pts, w = sphere_quadrature(d, nodes)
-    rng = as_rng(seed) if seed is not None else None
     if isinstance(law, DiscreteLaw):
         enorm = float(law.weights @ np.linalg.norm(law.atoms, axis=1))
         enorm_se = 0.0
     else:
-        samples = _sample_for(law, budget, rng)
+        samples = _sample_for(law, budget, seed)
         norms = np.linalg.norm(samples, axis=1)
         enorm = float(norms.mean())
         enorm_se = float(norms.std(ddof=1)) / math.sqrt(len(norms))

@@ -267,3 +267,69 @@ def test_lift_swap_command(tmp_path):
                                "atoms": [[1.0, 1.0]], "weights": [1.0]}))
     out = tmp_path / "rep.json"
     assert run(["lift-swap", "--law", law, "--seed", "2", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ({"schema": 1, "type": "discrete", "atoms": [[1.0, -0.5], [-0.3, 2.0], [0.0, 0.0]],
+      "weights": [0.2, 0.5, 0.3]}, None),
+    ({"schema": 1, "type": "lognormal", "mean": [-0.5, -0.5], "cov": [[1.0, 0.3], [0.3, 1.0]]}, 11),
+])
+def test_support_lift_rows_match_support_lift(tmp_path, spec, seed):
+    from zonoids.zonoid import support_lift
+
+    law_path = tmp_path / "law.json"
+    law_path.write_text(json.dumps(spec))
+    out = tmp_path / "lift.json"
+    k, budget = -0.7, 5_000
+    args = ["support", "--law", law_path, "--kind", "lift", "--k", str(k), "--grid", "circle:16",
+            "--budget", str(budget), "--out", out]
+    assert run(args + (["--seed", str(seed)] if seed is not None else [])) == 0
+    doc = load(out)
+    law = law_from_json(spec)
+    rows = doc["result"]["estimates"]["rows"]
+    assert doc["result"]["k"] == k and len(rows) == 16
+    for u1, u2, value, se, n, exact in rows:
+        want = support_lift(law, k, [u1, u2], budget, seed)
+        assert value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
+        assert se == pytest.approx(want.std_error, rel=1e-12, abs=1e-15)
+        assert (n, exact) == (want.n, want.exact)
+    if seed is not None:
+        assert run(args) == 2  # a sampled law needs a seed
+
+
+_DISCRETE_3D = {"schema": 1, "type": "discrete", "atoms": [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]],
+                "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("command, tester, doc, extra", [
+    ("swap", "test_swap_invariance", _DISCRETE_3D, ["--law"]),
+    ("lift-swap", "test_lift_swap_invariance", _DISCRETE_3D, ["--law"]),
+    ("stationarity", "test_zonoid_stationarity", {"schema": 1, "type": "gbm", "drift_correction": True},
+     ["--times", "0,1", "--shift", "2", "--process"]),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bonferroni_flag_reaches_the_tester(monkeypatch, tmp_path, command, tester, doc, extra, flag):
+    import zonoids.cli as cli
+
+    seen = {}
+    real = getattr(cli, tester)
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, tester, spy)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    args = [command, *extra, path, "--budget", "2000", "--seed", "3", "--out", tmp_path / "rep.json"]
+    assert run(args + (["--bonferroni"] if flag else [])) in (0, 1)
+    assert seen["bonferroni"] is flag
+
+
+def test_import_does_not_load_scipy():
+    import subprocess
+    import sys
+
+    code = "import sys, zonoids, zonoids.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -386,3 +386,28 @@ def test_sign_lift_separates_distinct_symmetric_laws():
     lifted2 = DiscreteLaw([[e[0], x[0]] for e in eps for x in xi2.atoms.tolist()], w2)
     rep = test_zonoid_equiv(lifted1, lifted2, grid=DirectionGrid.circle(64))
     assert not rep.verdict
+
+
+def test_swap_bonferroni_spreads_level_over_directions_and_permutations():
+    from statistics import NormalDist
+
+    from zonoids.invariance import effective_tau
+
+    law = LognormalLaw(GaussianLaw([0.0, 0.03, 0.06], 0.5 * np.eye(3)))
+    grid = DirectionGrid.axes_and_diagonals(3)
+    rep = test_swap_invariance(law, "all", grid, budget=5_000, tau=3.0, seed=0, bonferroni=True)
+    comparisons = len(grid) * rep.extras["n_permutations"]
+    score = rep.max_standardized
+    assert rep.verdict == (score <= effective_tau(3.0, comparisons, True))
+
+    # a tau whose Bonferroni threshold over m x P comparisons passes the score,
+    # while the threshold over the m directions alone would reject it
+    nd = NormalDist()
+    tail = 1.0 - nd.cdf(score)
+    window = [nd.inv_cdf(1.0 - c * tail) for c in (comparisons, len(grid))]
+    tau = sum(window) / 2.0
+    assert effective_tau(tau, len(grid), True) < score <= effective_tau(tau, comparisons, True)
+    again = test_swap_invariance(law, "all", grid, budget=5_000, tau=tau, seed=0, bonferroni=True)
+    assert again.max_standardized == score and again.verdict
+    plain = test_swap_invariance(law, "all", grid, budget=5_000, tau=tau, seed=0)
+    assert plain.verdict == (score <= tau)

@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 import zonoids.zonoid as zonoid_mod
 from zonoids.errors import DiagnosticError
 from zonoids.invariance import test_zonoid_equiv
-from zonoids.laws import GaussianLaw, LognormalLaw, SamplerLaw
+from zonoids.laws import DiscreteLaw, GaussianLaw, LognormalLaw, SamplerLaw
 from zonoids.rng import as_rng
 from zonoids.zonoid import (
+    DirectionGrid,
     _integrability_guard,
     exact_support,
+    grid_support,
     mean_width_check,
     projection_moments,
     sphere_quadrature,
+    support_centred,
+    support_lift,
+    support_max,
+    support_noncentred,
     unit_ball_volume,
 )
 
@@ -147,6 +153,56 @@ def test_equiv_crn_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# one-direction views of the grid evaluator
+# ---------------------------------------------------------------------------
+
+@st.composite
+def support_problems(draw):
+    d = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["discrete", "gaussian", "lognormal"]))
+    kind = draw(st.sampled_from(["centred", "noncentred", "lift"] + (["max"] if family != "gaussian" else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "discrete":
+        atoms = rng.standard_normal((draw(st.integers(1, 5)), d))
+        law = DiscreteLaw(np.abs(atoms) if kind == "max" else atoms, rng.dirichlet(np.ones(atoms.shape[0])))
+    elif family == "gaussian":
+        a = rng.standard_normal((d, d))
+        law = GaussianLaw(rng.standard_normal(d), a @ a.T)
+    else:
+        law = LognormalLaw(GaussianLaw(rng.standard_normal(d) - 0.5, 0.5 * np.eye(d)))
+    dim = d + 1 if kind == "lift" else d  # lift rows are (k, u)
+    dirs = rng.standard_normal((draw(st.integers(1, 6)), dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return law, DirectionGrid(dirs), kind, draw(st.sampled_from([50, 2_000, 5_000])), draw(st.integers(0, 99))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=support_problems())
+def test_support_functions_are_grid_rows(problem):
+    law, grid, kind, budget, seed = problem
+    single = {"centred": support_centred, "noncentred": support_noncentred, "max": support_max}
+
+    def guarded(fn, *args):
+        try:
+            return fn(*args)
+        except DiagnosticError:
+            return None  # the integrability guard fired
+
+    rows = guarded(grid_support, law, grid, kind, budget, seed)
+    if kind == "lift":
+        ests = [guarded(support_lift, law, v[0], v[1:], budget, seed) for v in grid.directions]
+    else:
+        ests = [guarded(single[kind], law, v, budget, seed) for v in grid.directions]
+    if rows is None:  # a sparse column; its one-direction view fires too
+        assert None in ests
+        return
+    for est, row in zip(ests, rows):
+        assert (est.n, est.exact) == (row.n, row.exact)
+        assert est.value == pytest.approx(row.value, rel=REL, abs=1e-15)
+        assert est.std_error == pytest.approx(row.std_error, rel=REL, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # integrability guard
 # ---------------------------------------------------------------------------
 
@@ -164,6 +220,15 @@ def test_kernel_guard_agrees_with_in_memory_guard(seed):
     direct = outcome(lambda: _integrability_guard(np.abs(x[:, 0])))
     blocked = outcome(lambda: projection_moments(x, np.array([[1.0]])))
     assert blocked == direct
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_guard_quiet_on_sparse_integrable_stream(seed):
+    # P(<xi, u> > 0) is about 0.0063: a small chunk of 20,000 rows holds about
+    # two nonzero values, too few for a median of chunk means
+    law = LognormalLaw(GaussianLaw([-0.5, -0.5], np.eye(2)))
+    est = support_noncentred(law, [0.0202, -0.6931], budget=20_000, seed=seed)
+    assert est.n == 20_000 and est.value > 0.0
 
 
 def test_equiv_guard_fires_on_cauchy_pair():

@@ -27,6 +27,12 @@ from .laws import (
 from .rng import as_rng
 from .zonoid import DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, exact_support, is_exact_law, projection_moments
 
+# A statistical score divides each delta by max(pooled SE, SE_FLOOR * max(|h_a|, |h_b|)).
+# The floor is far above the roundoff of a blocked mean and far below the SE
+# that any budget up to 1e8 produces, so it only stops a roundoff delta over a
+# roundoff SE from reading as a discrepancy.
+SE_FLOOR = 1e-13
+
 __all__ = [
     "EquivalenceReport",
     "MeasureChangedLaw",
@@ -116,12 +122,13 @@ def _shared_driver(law_a, law_b, budget: int, rng):
 def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=None) -> EquivalenceReport:
     h_a, h_b, pooled = map(np.asarray, (h_a, h_b, pooled))
     delta = h_a - h_b
-    std = _standardize(delta, pooled)
     if mode == "exact":
+        std = _standardize(delta, pooled)
         worst = int(np.abs(delta).argmax())
         verdict = bool(np.abs(delta).max() <= EXACT_TOL)
         max_std = float(std.max()) if std.size else 0.0
     else:
+        std = _standardize(delta, np.maximum(pooled, SE_FLOOR * np.maximum(np.abs(h_a), np.abs(h_b))))
         worst = int(std.argmax())
         max_std = float(std[worst])
         verdict = bool(max_std <= effective_tau(tau, len(grid), bonferroni))

@@ -411,3 +411,25 @@ def test_swap_bonferroni_spreads_level_over_directions_and_permutations():
     assert again.max_standardized == score and again.verdict
     plain = test_swap_invariance(law, "all", grid, budget=5_000, tau=tau, seed=0)
     assert plain.verdict == (score <= tau)
+
+
+def test_se_floor_silences_a_near_axis_roundoff_delta():
+    # the laws differ only in mu_0; at the circle's direction (6e-17, 1) the
+    # supports differ by a few ulps, and the paired SE is of the same roundoff
+    # order, so the raw ratio reads as a huge discrepancy
+    cov = [[0.5, 0.1], [0.1, 0.5]]
+    a = LognormalLaw(GaussianLaw([0.0, -3.0], cov))
+    b = LognormalLaw(GaussianLaw([0.2, -3.0], cov))
+    grid = DirectionGrid.circle(64)
+    rep = test_zonoid_equiv(a, b, grid, budget=1_000_000, seed=2)
+    assert rep.crn and not rep.verdict
+    near_axis = np.abs(grid.directions[:, 0]) < 1e-15
+    ulps = np.abs(rep.delta) / np.spacing(np.maximum(np.abs(rep.h_a), np.abs(rep.h_b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.abs(rep.delta) / rep.pooled_se
+    roundoff = np.flatnonzero(near_axis & (ulps >= 1) & (ulps <= 4) & (raw >= 1000.0))
+    assert roundoff.size, (rep.delta[near_axis], raw[near_axis])
+    assert not near_axis[rep.worst_index]
+    for j in roundoff:
+        one = test_zonoid_equiv(a, b, DirectionGrid(grid.directions[[j]]), budget=1_000_000, seed=2)
+        assert one.max_standardized < 1.0 and one.verdict

@@ -98,15 +98,7 @@ def _build_grid(spec: str, d: int, seed) -> DirectionGrid:
             return DirectionGrid.fibonacci_sphere(n)
         raise SchemaError(f"unknown grid kind {kind!r}")
     if spec.isdigit():
-        n = int(spec)
-        extra = DirectionGrid.axes_and_diagonals(d).directions
-        if d == 2:
-            smooth = DirectionGrid.circle(n).directions
-        elif d == 3:
-            smooth = DirectionGrid.fibonacci_sphere(n).directions
-        else:
-            smooth = DirectionGrid.uniform_sphere(d, n, seed).directions
-        return DirectionGrid(np.vstack([smooth, extra]), f"default:{n}+axes")
+        return DirectionGrid.default(d, seed, int(spec))
     doc = _require_schema(_load_json(spec), spec)
     if set(doc) - {"schema", "directions"}:
         raise SchemaError(f"{spec}: unknown fields in grid document")

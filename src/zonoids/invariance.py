@@ -298,10 +298,10 @@ def test_swap_invariance(
     exact mode only: ``"permute-law"`` evaluates the permuted law on the grid,
     ``"permute-direction"`` the law on the permuted grid, and the two sides of
     that identity must agree.  Monte Carlo mode always compares h(u) with
-    h(pi^-1 u) on one sample: each block of rows is projected once onto the
-    bitwise-distinct directions of the orbit {pi^-1 u}, and each pair is
-    standardized by its paired standard error.  A direction that pi fixes
-    shares its column with its image, so its delta is exactly 0.
+    h(pi^-1 u) on one sample: the kernel projects it once onto the distinct
+    directions of the orbit {pi^-1 u}, and each pair is standardized by its
+    paired standard error.  A direction that pi fixes, or maps to its
+    antipode, shares its column with its image, so its delta is exactly 0.
     ``bonferroni`` spreads the level over directions x permutations.
     """
     if law.dim < 2:
@@ -328,12 +328,10 @@ def test_swap_invariance(
     else:
         mode, crn = "statistical", True
         orbit = np.concatenate([dirs[None], permuted_dirs]).reshape(-1, law.dim)
-        columns, col = _distinct_rows(orbit)
-        col = col.reshape(len(perms) + 1, m)
-        mom = projection_moments(law.sample(budget, rng), columns,
-                                 pairs=(np.tile(col[0], len(perms)), col[1:].ravel()))
-        h_a = np.broadcast_to(mom.mean[col[0]], (len(perms), m))
-        h_b = mom.mean[col[1:]]
+        mom = projection_moments(law.sample(budget, rng), orbit,
+                                 pairs=(np.tile(np.arange(m), len(perms)), np.arange(m, (len(perms) + 1) * m)))
+        h_a = np.broadcast_to(mom.mean[:m], (len(perms), m))
+        h_b = mom.mean[m:].reshape(len(perms), m)
         pooled = mom.paired_se.reshape(len(perms), m)
 
     worst, worst_perm, worst_score = None, None, -1.0
@@ -346,16 +344,6 @@ def test_swap_invariance(
     limit = EXACT_TOL if mode == "exact" else effective_tau(tau, m * len(perms), bonferroni)
     return replace(worst, verdict=bool(worst_score <= limit), extras={
         "worst_permutation": worst_perm, "n_permutations": len(perms), "method": method})
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bitwise-distinct rows in order of first appearance, and each row's index among them."""
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rows[first[order]], rank[inverse.ravel()]
 
 
 def test_lift_swap_invariance(

@@ -18,7 +18,7 @@ import numpy as np
 from .invariance import test_zonoid_stationarity
 from .laws import DiscreteLaw, GaussianLaw, law_is_positive
 from .rng import as_rng, run_chunked, spawn_rngs
-from .zonoid import DEFAULT_BUDGET, DirectionGrid, support_centred
+from .zonoid import DEFAULT_BUDGET, DirectionGrid, support_at
 
 _BLOCK = 128  # draw granularity in max mode; fixed so prefixes agree across depths
 
@@ -180,10 +180,8 @@ def cf_check(cfg: LePageConfig, u_grid, budget: int = DEFAULT_BUDGET,
     empirical = phases.mean(axis=0)
 
     support_seed = np.random.default_rng((cfg.seed, 0xCF))
-    predicted = np.array([
-        math.exp(-0.5 * math.pi * support_centred(cfg.driver, u, budget, support_seed).value)
-        for u in us
-    ])
+    predicted = np.array([math.exp(-0.5 * math.pi * est.value)
+                          for est in support_at(cfg.driver, us, "centred", budget, support_seed)])
     disc = np.abs(empirical - predicted)
 
     boot_rng = np.random.default_rng((cfg.seed, 0xB007))

@@ -71,9 +71,16 @@ class DirectionGrid:
 
     @classmethod
     def circle(cls, m: int) -> "DirectionGrid":
-        """m equally spaced directions on the unit circle."""
+        """m equally spaced directions on the unit circle.
+
+        For even m the second half is the exact negation of the first, so every
+        antipodal pair is bitwise antipodal.
+        """
         theta = 2.0 * np.pi * np.arange(m) / m
-        return cls(np.column_stack([np.cos(theta), np.sin(theta)]), f"circle:{m}")
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        if m % 2 == 0:
+            pts[m // 2:] = -pts[: m // 2]
+        return cls(pts, f"circle:{m}")
 
     @classmethod
     def uniform_sphere(cls, d: int, m: int, seed) -> "DirectionGrid":
@@ -105,22 +112,25 @@ class DirectionGrid:
         return cls(np.vstack([axes, diag]), "axis-and-diagonals")
 
     @classmethod
-    def default(cls, d: int, seed=0) -> "DirectionGrid":
+    def default(cls, d: int, seed=0, smooth: int | None = None) -> "DirectionGrid":
         """House grid: dense smooth cover plus axes and diagonals.
 
         The coordinate-aligned part is always appended because violations of
-        permutation symmetry tend to show up there first.
+        permutation symmetry tend to show up there first.  The smooth cover is
+        a circle for d = 2, a Fibonacci lattice for d = 3 and uniform points
+        past that; ``smooth`` sets its size (64, 256 and 128 by default).
         """
-        if d == 1:
+        if d == 1 and smooth is None:
             return cls(np.array([[1.0], [-1.0]]), "axes:1d")
+        n = smooth if smooth is not None else {2: 64, 3: 256}.get(d, 128)
         extra = cls.axes_and_diagonals(d).directions
         if d == 2:
-            smooth = cls.circle(64).directions
+            cover = cls.circle(n).directions
         elif d == 3:
-            smooth = cls.fibonacci_sphere(256).directions
+            cover = cls.fibonacci_sphere(n).directions
         else:
-            smooth = cls.uniform_sphere(d, 128, seed).directions
-        return cls(np.vstack([smooth, extra]), f"default:{d}d")
+            cover = cls.uniform_sphere(d, n, seed).directions
+        return cls(np.vstack([cover, extra]), f"default:{d}d" if smooth is None else f"default:{n}+axes")
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +228,22 @@ def _project(x: np.ndarray, directions: np.ndarray, kind: str, out: np.ndarray) 
     np.maximum(out, 0.0, out=out)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-distinct rows in order of first appearance, and each row's index among them."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[inverse.ravel()]
+
+
+def _fold(dirs: np.ndarray) -> np.ndarray:
+    """Each row or its negation, whichever has its first nonzero coordinate positive."""
+    lead = dirs[np.arange(dirs.shape[0]), (dirs != 0.0).argmax(axis=1)]
+    return np.where(lead[:, None] < 0.0, -dirs, dirs) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 def _as_index(idx: np.ndarray):
     """A run of consecutive column indices as a slice (no gather), else the indices."""
     if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
@@ -298,12 +324,18 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     matrix, or a tuple of matrices whose rows are coupled (common random
     numbers); each side is projected onto every row of ``directions`` and the
     columns of the sides follow one another.  ``pairs`` = (a, b) names column
-    pairs whose row-wise difference gets a paired standard error; a pair of
-    equal columns gets exactly 0.
+    pairs whose row-wise difference gets a paired standard error.
+
+    A sample is projected once per distinct direction: bitwise-equal rows share
+    one column, and so, for the even |.|, do a row and its exact negation.  A
+    pair whose two columns share one gets delta and paired SE exactly 0, and
+    each distinct pair is reduced once.  The results come back in the caller's
+    row and pair order.
 
     ``weights`` marks the rows as the atoms of a discrete law: each mean is then
-    the exact sum of w f, and every standard error is 0.  Otherwise each column
-    passes the integrability guard, from chunk sums and maxima kept on the way.
+    the exact sum of w f over every direction row as given, and every standard
+    error is 0.  Otherwise each column passes the integrability guard, from
+    chunk sums and maxima kept on the way.
 
     Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values, one matrix
     product per side and block.  Per-block (count, mean, M2) summaries are merged
@@ -316,12 +348,19 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     n = sides[0].shape[0]
     if n < 1 or any(x.shape[0] != n for x in sides):
         raise ValueError("every side needs the same, positive number of rows")
+    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
+    if weights is None:
+        dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
+    else:
+        col = np.arange(dirs.shape[0])  # atom counts are small: every row is projected
     k = dirs.shape[0]
     width = k * len(sides)
-    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
-    live = np.flatnonzero(a != b) if weights is None else np.zeros(0, dtype=np.intp)
-    pa, pb = _as_index(a[live]), _as_index(b[live])
-    total = width + live.size
+    cols = (np.arange(len(sides))[:, None] * k + col).ravel()  # caller's column -> projected column
+    ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
+    live = np.flatnonzero(ends[:, 0] != ends[:, 1]) if weights is None else np.zeros(0, dtype=np.intp)
+    ends, pair = _distinct_rows(ends[live])
+    pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
+    total = width + ends.shape[0]
     rows = max(1, BLOCK_ELEMENTS // total)
     guard = _GuardStats(n, width) if weights is None and n >= _GUARD_MIN_ROWS else None
 
@@ -337,7 +376,7 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
             if weights is not None:
                 yield values @ weights[start:stop]
                 continue
-            if live.size:
+            if ends.size:
                 np.subtract(values[pa], values[pb], out=block[width:])
             r = stop - start
             ones = np.ones(r)
@@ -361,8 +400,8 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
         guard.check(mean[:width], n)
     se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(total)
     paired = np.zeros(a.size)
-    paired[live] = se[width:]
-    return ProjectionMoments(mean[:width], se[:width], paired, n)
+    paired[live] = se[width:][pair]
+    return ProjectionMoments(mean[cols], se[cols], paired, n)
 
 
 _folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
@@ -541,8 +580,7 @@ def sphere_quadrature(d: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     lattice with equal weights.
     """
     if d == 2:
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = DirectionGrid.circle(nodes).directions
         w = np.full(nodes, 2.0 * np.pi / nodes)
         return pts, w
     if d == 3:

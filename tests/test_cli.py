@@ -333,3 +333,17 @@ def test_import_does_not_load_scipy():
     code = "import sys, zonoids, zonoids.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_integer_grid_is_the_default_construction_with_that_smooth_count(d):
+    from zonoids.cli import _build_grid
+    from zonoids.zonoid import DirectionGrid
+
+    grid = _build_grid("40", d, 5)
+    extra = DirectionGrid.axes_and_diagonals(d).directions
+    smooth = {2: lambda: DirectionGrid.circle(40), 3: lambda: DirectionGrid.fibonacci_sphere(40)}.get(
+        d, lambda: DirectionGrid.uniform_sphere(d, 40, 5))().directions
+    assert grid.construction == "default:40+axes"
+    assert np.array_equal(grid.directions, np.vstack([smooth, extra]))
+    assert DirectionGrid.default(d, 5).construction == ("axes:1d" if d == 1 else f"default:{d}d")

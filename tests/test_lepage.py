@@ -8,6 +8,7 @@ from zonoids.laws import (
     DiscreteLaw,
     GaussianLaw,
     LognormalLaw,
+    SamplerLaw,
     gbm_process,
     rademacher_law,
     scale_law,
@@ -158,3 +159,20 @@ def test_constant_driver_trivially_stationary():
     rep = stationarity_cross_check(proc, (0.0, 1.0), (1.0,), mode="max",
                                    n_terms=200, paths=3_000, budget=50_000, tau=3.0, seed=17)
     assert rep.zonoid_pass and rep.simulation_pass
+
+
+def test_cf_check_draws_the_support_sample_once():
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return rng.standard_normal((n, 2))
+
+    driver = SamplerLaw(2, sampler, symmetric=True)
+    cfg = LePageConfig(driver, "sum", n_terms=50, paths=200, seed=12)
+    us = [[0.5, 0.0], [0.0, 1.0], [1.0, -1.0]]
+    rep = cf_check(cfg, us, budget=7_777, n_boot=10)
+    assert calls.count(7_777) == 1
+    # E|<u, Z>| = |u| sqrt(2 / pi) for a standard normal Z
+    truth = np.exp(-0.5 * math.pi * np.linalg.norm(us, axis=1) * math.sqrt(2.0 / math.pi))
+    assert np.allclose(rep.predicted, truth, atol=0.05)

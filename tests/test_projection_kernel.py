@@ -258,3 +258,60 @@ def test_mean_width_monte_carlo_memory_is_bounded():
     samples = law.sample(budget, as_rng(13))
     dense = float(w @ np.abs(pts @ samples.T).mean(axis=1)) / (2.0 * unit_ball_volume(1))
     assert abs(rep.identity_value - dense) <= REL * dense
+
+
+# ---------------------------------------------------------------------------
+# repeated and antipodal directions
+# ---------------------------------------------------------------------------
+
+@st.composite
+def folded_problems(draw):
+    """A sample and directions built from a few base rows, their copies and negations."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.exp(rng.standard_normal((n, d)))
+    base = rng.standard_normal((draw(st.integers(1, 4)), d))
+    if d > 1 and draw(st.booleans()):
+        base[0, 0] = 0.0  # the sign of a row is read from its first nonzero coordinate
+    picks = draw(st.lists(st.tuples(st.integers(0, base.shape[0] - 1), st.booleans()), min_size=1, max_size=10))
+    dirs = np.array([-base[i] if neg else base[i] for i, neg in picks])
+    return x, dirs, draw(st.sampled_from(["centred", "noncentred", "max"])), rng
+
+
+def _bits(v):
+    return v.tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(problem=folded_problems())
+def test_kernel_shares_columns_of_duplicates_and_centred_antipodes(block, problem):
+    x, dirs, kind, rng = problem
+    k = dirs.shape[0]
+    same = np.array([[np.array_equal(u, v) for v in dirs] for u in dirs])
+    if kind == "centred":
+        same |= np.array([[np.array_equal(u, -v) for v in dirs] for u in dirs])
+    a = np.r_[np.nonzero(same)[0], rng.integers(0, k, size=4)]
+    b = np.r_[np.nonzero(same)[1], rng.integers(0, k, size=4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
+        mom = projection_moments(x, dirs, kind, pairs=(a, b))
+        flipped = projection_moments(x, dirs, kind, pairs=(b, a))
+    for i, j in zip(*np.nonzero(same)):
+        assert _bits(mom.mean[i]) == _bits(mom.mean[j]) and _bits(mom.se[i]) == _bits(mom.se[j])
+    shared = same[a, b]
+    assert np.all(mom.paired_se[shared] == 0.0)
+    assert _bits(flipped.paired_se) == _bits(mom.paired_se)
+    values = reference_values(x, dirs, kind)
+    assert_close(mom.mean, values.mean(axis=0))
+    assert_close(mom.se, reference_se(values), roundoff(values))
+    assert_close(mom.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
+
+
+@pytest.mark.parametrize("m", [2, 8, 64, 72, 1000, 4096])
+def test_even_circle_has_exact_antipodes(m):
+    pts = DirectionGrid.circle(m).directions
+    theta = 2.0 * np.pi * np.arange(m) / m
+    assert _bits(pts[m // 2:]) == _bits(-pts[: m // 2])
+    assert np.abs(pts - np.column_stack([np.cos(theta), np.sin(theta)])).max() <= 1e-15

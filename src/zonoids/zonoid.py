@@ -328,9 +328,9 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
 
     A sample is projected once per distinct direction: bitwise-equal rows share
     one column, and so, for the even |.|, do a row and its exact negation.  A
-    pair whose two columns share one gets delta and paired SE exactly 0, and
-    each distinct pair is reduced once.  The results come back in the caller's
-    row and pair order.
+    pair whose two directions share a column gets delta and paired SE exactly
+    0, and each distinct pair is reduced once.  The results come back in the
+    caller's row and pair order.
 
     ``weights`` marks the rows as the atoms of a discrete law: each mean is then
     the exact sum of w f over every direction row as given, and every standard
@@ -351,15 +351,15 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
     if weights is None:
         dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
-    else:
-        col = np.arange(dirs.shape[0])  # atom counts are small: every row is projected
+        cols = (np.arange(len(sides))[:, None] * dirs.shape[0] + col).ravel()  # caller's column -> projected
+        ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
+        live = np.flatnonzero(ends[:, 0] != ends[:, 1])
+        ends, pair = _distinct_rows(ends[live])
+        pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
+    else:  # atom counts are small, and the bookkeeping would cost more than it saves
+        ends = np.zeros((0, 2), dtype=np.intp)
     k = dirs.shape[0]
     width = k * len(sides)
-    cols = (np.arange(len(sides))[:, None] * k + col).ravel()  # caller's column -> projected column
-    ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
-    live = np.flatnonzero(ends[:, 0] != ends[:, 1]) if weights is None else np.zeros(0, dtype=np.intp)
-    ends, pair = _distinct_rows(ends[live])
-    pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
     total = width + ends.shape[0]
     rows = max(1, BLOCK_ELEMENTS // total)
     guard = _GuardStats(n, width) if weights is None and n >= _GUARD_MIN_ROWS else None

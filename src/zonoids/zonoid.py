@@ -351,10 +351,11 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
     if weights is None:
         dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
-        cols = (np.arange(len(sides))[:, None] * dirs.shape[0] + col).ravel()  # caller's column -> projected
+        # the projected column of each of the caller's columns, side by side
+        cols = (np.arange(len(sides))[:, None] * dirs.shape[0] + col).ravel()
         ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
         live = np.flatnonzero(ends[:, 0] != ends[:, 1])
-        ends, pair = _distinct_rows(ends[live])
+        ends, pair_row = _distinct_rows(ends[live])
         pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
     else:  # atom counts are small, and the bookkeeping would cost more than it saves
         ends = np.zeros((0, 2), dtype=np.intp)
@@ -400,7 +401,7 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
         guard.check(mean[:width], n)
     se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(total)
     paired = np.zeros(a.size)
-    paired[live] = se[width:][pair]
+    paired[live] = se[width:][pair_row]
     return ProjectionMoments(mean[cols], se[cols], paired, n)
 
 

@@ -28,6 +28,7 @@ BLOCK_ELEMENTS = 1 << 17
 _GUARD_MIN_ROWS = 4096
 _GUARD_CHUNKS = (64, 4)  # chunk counts of the guard's small and big chunk means
 _GUARD_DENSE = 64  # nonzero values the first small chunk needs before growth is read
+_WEIGHTED_ROWS = 64  # direction rows per product on the exact (weighted) path
 
 
 @dataclass(frozen=True)
@@ -315,6 +316,38 @@ class _GuardStats:
         _guard_verdict(small / w_small, big / w_big, self.top.max(axis=1), mean * n, self.nonzero)
 
 
+def _weighted_means(x: np.ndarray, dirs: np.ndarray, kind: str, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j f(<x_j, u>) for every direction row u, each independent of the other rows.
+
+    f is positively homogeneous, so the weights scale the atoms once.  Direction
+    rows go in zero-padded chunks of ``_WEIGHTED_ROWS`` and atoms in blocks
+    whose size follows from ``BLOCK_ELEMENTS`` alone, so every matrix product
+    has one shape whatever the rows.  A product has one row per atom and one
+    column per direction, the orientation in which BLAS computes every
+    direction with the same code wherever it sits (a single-row product, or
+    directions as product rows, can round differently); the sums over atoms
+    run down each column in order, and the block sums merge pairwise.
+    """
+    atoms = x * weights[:, None]
+    step = max(1, BLOCK_ELEMENTS // _WEIGHTED_ROWS)
+    chunk = np.zeros((_WEIGHTED_ROWS, dirs.shape[1]))
+    out = np.empty(dirs.shape[0])
+    for lo in range(0, dirs.shape[0], _WEIGHTED_ROWS):
+        r = min(_WEIGHTED_ROWS, dirs.shape[0] - lo)
+        chunk[:r] = dirs[lo:lo + r]
+        chunk[r:] = 0.0
+        sums = (_atom_block_sums(chunk, atoms[s:s + step], kind) for s in range(0, atoms.shape[0], step))
+        out[lo:lo + r] = _merge_pairwise(sums, np.add)[:r]
+    return out
+
+
+def _atom_block_sums(chunk: np.ndarray, atoms: np.ndarray, kind: str) -> np.ndarray:
+    """Per-direction sums of f(<a, u>) over one block of atoms a."""
+    values = np.empty((atoms.shape[0], chunk.shape[0]))
+    _project(chunk, atoms, kind, values)  # f(<a, u>) is symmetric in a and u: one row per atom
+    return values.sum(axis=0)
+
+
 def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
                        pairs=None) -> ProjectionMoments:
     """Moments of f(<x, u>) over the rows x of a sample, for every direction u.
@@ -333,9 +366,11 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     caller's row and pair order.
 
     ``weights`` marks the rows as the atoms of a discrete law: each mean is then
-    the exact sum of w f over every direction row as given, and every standard
-    error is 0.  Otherwise each column passes the integrability guard, from
-    chunk sums and maxima kept on the way.
+    the exact sum of w f, and every standard error is 0.  Each exact value is
+    bitwise independent of the other direction rows in the call, so a row
+    and its duplicate or exact negation (for |.|) get the same value.
+    Otherwise each column passes the integrability guard, from chunk sums and
+    maxima kept on the way.
 
     Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values, one matrix
     product per side and block.  Per-block (count, mean, M2) summaries are merged
@@ -349,21 +384,21 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     if n < 1 or any(x.shape[0] != n for x in sides):
         raise ValueError("every side needs the same, positive number of rows")
     a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
-    if weights is None:
-        dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
-        # the projected column of each of the caller's columns, side by side
-        cols = (np.arange(len(sides))[:, None] * dirs.shape[0] + col).ravel()
-        ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
-        live = np.flatnonzero(ends[:, 0] != ends[:, 1])
-        ends, pair_row = _distinct_rows(ends[live])
-        pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
-    else:  # atom counts are small, and the bookkeeping would cost more than it saves
-        ends = np.zeros((0, 2), dtype=np.intp)
+    if weights is not None:
+        exact = np.concatenate([_weighted_means(x, dirs, kind, weights) for x in sides])
+        return ProjectionMoments(exact, np.zeros(exact.size), np.zeros(a.size), n)
+    dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
+    # the projected column of each of the caller's columns, side by side
+    cols = (np.arange(len(sides))[:, None] * dirs.shape[0] + col).ravel()
+    ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
+    live = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    ends, pair_row = _distinct_rows(ends[live])
+    pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
     k = dirs.shape[0]
     width = k * len(sides)
     total = width + ends.shape[0]
     rows = max(1, BLOCK_ELEMENTS // total)
-    guard = _GuardStats(n, width) if weights is None and n >= _GUARD_MIN_ROWS else None
+    guard = _GuardStats(n, width) if n >= _GUARD_MIN_ROWS else None
 
     def blocks():
         # a block holds one row per column and one entry per sample row, so each
@@ -374,9 +409,6 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
             values = block[:width]
             for s, x in enumerate(sides):
                 _project(x[start:stop], dirs, kind, values[s * k:(s + 1) * k])
-            if weights is not None:
-                yield values @ weights[start:stop]
-                continue
             if ends.size:
                 np.subtract(values[pa], values[pb], out=block[width:])
             r = stop - start
@@ -393,9 +425,6 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
             m2 = block @ ones - resid * resid / r
             yield r, mean + resid / r, np.maximum(m2, 0.0)
 
-    if weights is not None:
-        exact = _merge_pairwise(blocks(), np.add)
-        return ProjectionMoments(exact, np.zeros(width), np.zeros(a.size), n)
     _, mean, m2 = _merge_pairwise(blocks(), _chan_merge)
     if guard is not None:
         guard.check(mean[:width], n)
@@ -423,8 +452,10 @@ def exact_support(law, directions, kind: str = "centred") -> np.ndarray:
         return projection_moments(law.atoms, dirs, kind, weights=law.weights).mean
     if not isinstance(law, GaussianLaw):
         raise TypeError(f"no closed-form support for {type(law).__name__}")
-    m = dirs @ law.mean_vec
-    s = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", dirs, law.cov, dirs), 0.0))
+    # row-wise sums, not matrix products: each value is independent of the other rows
+    m = (dirs * law.mean_vec).sum(axis=1)
+    q = sum(dirs[:, j] * (dirs * law.cov[j]).sum(axis=1) for j in range(law.dim))
+    s = np.sqrt(np.maximum(q, 0.0))
     h = _folded_normal_mean(m, s).astype(float)
     return h if kind == "centred" else 0.5 * (h + m)
 

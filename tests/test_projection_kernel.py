@@ -65,6 +65,10 @@ def problems(draw):
 BLOCK_SIZES = [7, 61, zonoid_mod.BLOCK_ELEMENTS]
 
 
+def _bits(v):
+    return v.tobytes()
+
+
 def roundoff(values):
     return 1e-15 * np.abs(values).max()
 
@@ -109,6 +113,25 @@ def test_kernel_coupled_sides_and_weighted_atoms(block, problem):
     assert_close(mom.paired_se, reference_se(vx - vy), roundoff(np.concatenate([vx, vy])))
     assert_close(exact.mean, w @ vx)
     assert np.all(exact.se == 0.0) and np.all(exact.paired_se == 0.0)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=25, deadline=None)
+@given(problem=problems())
+def test_exact_values_do_not_depend_on_the_other_rows(block, problem):
+    x, dirs, kind, rng = problem
+    k = dirs.shape[0]
+    w = rng.uniform(0.1, 1.0, size=x.shape[0])
+    law = DiscreteLaw(x, w / w.sum())
+    # past one chunk of direction rows, so some rows sit in a later chunk
+    dirs = np.vstack([dirs, rng.standard_normal((zonoid_mod._WEIGHTED_ROWS + 9, x.shape[1]))])
+    rows = np.r_[np.arange(k), rng.integers(k, dirs.shape[0], size=6)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
+        values = exact_support(law, dirs, kind)
+        for i in rows:
+            assert _bits(exact_support(law, dirs[i:i + 1], kind)) == _bits(values[i:i + 1])
+    assert_close(values, law.weights @ reference_values(x, dirs, kind))
 
 
 def test_kernel_constant_columns_have_zero_se():
@@ -277,10 +300,6 @@ def folded_problems(draw):
     picks = draw(st.lists(st.tuples(st.integers(0, base.shape[0] - 1), st.booleans()), min_size=1, max_size=10))
     dirs = np.array([-base[i] if neg else base[i] for i, neg in picks])
     return x, dirs, draw(st.sampled_from(["centred", "noncentred", "max"])), rng
-
-
-def _bits(v):
-    return v.tobytes()
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)

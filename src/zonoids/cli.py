@@ -154,13 +154,11 @@ def _emit(args, command: str, inputs: dict, result: dict, tables: dict | None = 
     report_mod.write_json(args.out, doc)
 
 
-def _equiv_result(report) -> dict:
-    return report_mod.equivalence_report_json(report)
-
-
-def _equiv_tables(report) -> dict:
-    header, rows = report_mod.equivalence_rows(report)
-    return {"per_direction": (header, rows)}
+def _emit_equiv(args, command: str, inputs: dict, report) -> int:
+    """Write an equivalence report with its per-direction table; the exit code follows the verdict."""
+    _emit(args, command, inputs, report_mod.equivalence_report_json(report),
+          {"per_direction": report_mod.equivalence_rows(report)})
+    return 0 if report.verdict else 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +189,7 @@ def _cmd_equiv(args) -> int:
     grid = _build_grid(args.grid, law_a.dim, args.seed)
     report = test_zonoid_equiv(law_a, law_b, grid, _check_budget(args.budget), _check_tau(args.tau),
                                args.seed, bonferroni=args.bonferroni)
-    _emit(args, "equiv", {"law_a": law_to_json(law_a), "law_b": law_to_json(law_b)},
-          _equiv_result(report), _equiv_tables(report))
-    return 0 if report.verdict else 1
+    return _emit_equiv(args, "equiv", {"law_a": law_to_json(law_a), "law_b": law_to_json(law_b)}, report)
 
 
 def _cmd_swap(args) -> int:
@@ -202,8 +198,7 @@ def _cmd_swap(args) -> int:
     perms = "all" if args.perms == "all" else int(args.perms)
     report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                   bonferroni=args.bonferroni)
-    _emit(args, "swap", {"law": law_to_json(law)}, _equiv_result(report), _equiv_tables(report))
-    return 0 if report.verdict else 1
+    return _emit_equiv(args, "swap", {"law": law_to_json(law)}, report)
 
 
 def _cmd_lift_swap(args) -> int:
@@ -211,8 +206,7 @@ def _cmd_lift_swap(args) -> int:
     grid = _build_grid(args.grid, law.dim + 1, args.seed)
     report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                        bonferroni=args.bonferroni)
-    _emit(args, "lift-swap", {"law": law_to_json(law)}, _equiv_result(report), _equiv_tables(report))
-    return 0 if report.verdict else 1
+    return _emit_equiv(args, "lift-swap", {"law": law_to_json(law)}, report)
 
 
 def _cmd_stationarity(args) -> int:
@@ -222,10 +216,8 @@ def _cmd_stationarity(args) -> int:
     report = test_zonoid_stationarity(process, times, args.shift, grid,
                                       _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                       bonferroni=args.bonferroni)
-    _emit(args, "stationarity",
-          {"process": process_to_json(process), "times": times, "shift": args.shift},
-          _equiv_result(report), _equiv_tables(report))
-    return 0 if report.verdict else 1
+    return _emit_equiv(args, "stationarity",
+                       {"process": process_to_json(process), "times": times, "shift": args.shift}, report)
 
 
 def _cmd_levy_check(args) -> int:

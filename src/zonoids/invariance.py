@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .laws import (
-    DiscreteLaw,
-    law_is_positive,
-    law_mean,
-    lift_law,
-    permute_law,
-)
+from .laws import DiscreteLaw, lift_law, measures_close, merge_atoms, permute_law, require_positive
 from .rng import as_rng
 from .zonoid import DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, exact_support, is_exact_law, projection_moments
 
@@ -119,21 +113,27 @@ def _shared_driver(law_a, law_b, budget: int, rng):
     return None
 
 
-def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=None) -> EquivalenceReport:
-    h_a, h_b, pooled = map(np.asarray, (h_a, h_b, pooled))
-    delta = h_a - h_b
+def _scores(h_a, h_b, pooled, mode: str) -> np.ndarray:
+    """Per-comparison score: |delta| in exact mode, else |delta| over the floored pooled SE."""
     if mode == "exact":
-        std = _standardize(delta, pooled)
-        worst = int(np.abs(delta).argmax())
-        verdict = bool(np.abs(delta).max() <= EXACT_TOL)
-        max_std = float(std.max()) if std.size else 0.0
+        return np.abs(h_a - h_b)
+    return _standardize(h_a - h_b, np.maximum(pooled, SE_FLOOR * np.maximum(np.abs(h_a), np.abs(h_b))))
+
+
+def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=None,
+                  comparisons=None) -> EquivalenceReport:
+    """Report over the grid; a statistical verdict spreads the level over ``comparisons`` (default: the grid)."""
+    h_a, h_b, pooled = map(np.asarray, (h_a, h_b, pooled))
+    score = _scores(h_a, h_b, pooled, mode)
+    worst = int(score.argmax())
+    if mode == "exact":
+        verdict = bool(score[worst] <= EXACT_TOL)
+        max_std = float(_standardize(h_a - h_b, pooled).max())
     else:
-        std = _standardize(delta, np.maximum(pooled, SE_FLOOR * np.maximum(np.abs(h_a), np.abs(h_b))))
-        worst = int(std.argmax())
-        max_std = float(std[worst])
-        verdict = bool(max_std <= effective_tau(tau, len(grid), bonferroni))
+        max_std = float(score[worst])
+        verdict = bool(max_std <= effective_tau(tau, comparisons or len(grid), bonferroni))
     return EquivalenceReport(
-        grid, h_a, h_b, delta, pooled, max_std, worst, verdict, mode, tau, crn, extras or {}
+        grid, h_a, h_b, h_a - h_b, pooled, max_std, worst, verdict, mode, tau, crn, extras or {}
     )
 
 
@@ -196,16 +196,6 @@ def test_zonoid_equiv(
     return _build_report(grid, h_a, h_b, pooled, "statistical", tau, crn, bonferroni)
 
 
-def _require_positive(law, budget: int, rng) -> None:
-    known = law_is_positive(law)
-    if known is False:
-        raise ValueError("max-zonoid comparison requires positive laws")
-    if known is None:
-        pilot = law.sample(min(budget, 4096), rng)
-        if pilot.min() <= 0.0:
-            raise ValueError("law sampled non-positive values; max-zonoid comparison refused")
-
-
 def test_max_zonoid_equiv(
     law_a,
     law_b,
@@ -222,8 +212,8 @@ def test_max_zonoid_equiv(
     decisive disagreement is an implementation bug and raises.
     """
     rng = as_rng(seed)
-    _require_positive(law_a, budget, rng)
-    _require_positive(law_b, budget, rng)
+    for law in (law_a, law_b):
+        require_positive(law, min(budget, 4096), rng, "max-zonoid comparison")
     report = test_zonoid_equiv(law_a, law_b, grid, budget, tau, rng, kind="max", bonferroni=bonferroni)
     zono = test_zonoid_equiv(law_a, law_b, grid, budget, tau, rng, kind="centred", bonferroni=bonferroni)
     consistency = "ok"
@@ -288,62 +278,44 @@ def test_swap_invariance(
     tau: float = 3.0,
     seed=None,
     *,
-    method: str = "permute-law",
     bonferroni: bool = False,
 ) -> EquivalenceReport:
     """Worst-case zonoid comparison of a law against its coordinate permutations.
 
     The permuted vector xi o pi projects onto u as xi onto pi^-1 u, so every
-    comparison is h(u) against h(pi^-1 u) of one law.  ``method`` matters in
-    exact mode only: ``"permute-law"`` evaluates the permuted law on the grid,
-    ``"permute-direction"`` the law on the permuted grid, and the two sides of
-    that identity must agree.  Monte Carlo mode always compares h(u) with
-    h(pi^-1 u) on one sample: the kernel projects it once onto the distinct
-    directions of the orbit {pi^-1 u}, and each pair is standardized by its
-    paired standard error.  A direction that pi fixes, or maps to its
-    antipode, shares its column with its image, so its delta is exactly 0.
-    ``bonferroni`` spreads the level over directions x permutations.
+    comparison is h(u) against h(pi^-1 u) of one law, and the support is
+    evaluated once, on the orbit {pi^-1 u} of the grid: in closed form for an
+    exact law, else on one sample, where the kernel projects it once per
+    distinct direction and standardizes each pair (u, pi^-1 u) by its paired
+    standard error.  Either way a direction that pi fixes, or maps to its
+    antipode, gets delta exactly 0.  The report keeps the permutation with the
+    worst comparison, and ``bonferroni`` spreads the level over directions x
+    permutations.
     """
     if law.dim < 2:
         raise ValueError("swap-invariance needs d >= 2")
-    if method not in ("permute-law", "permute-direction"):
-        raise ValueError(f"unknown method {method!r}")
     rng = as_rng(seed)
     perms = _resolve_permutations(law.dim, permutations, rng)
     if grid is None:
         grid = DirectionGrid.default(law.dim)
     dirs = grid.directions
-    m = len(grid)
+    m, p = len(grid), len(perms)
     inverses = np.argsort(np.array(perms), axis=1)
-    permuted_dirs = dirs[:, inverses].transpose(1, 0, 2)  # [p, i] = pi_p^-1 u_i
-
+    # rows [0, m) are the grid, rows [(i + 1) m, (i + 2) m) its image under pi_i^-1
+    orbit = np.concatenate([dirs[None], dirs[:, inverses].transpose(1, 0, 2)]).reshape(-1, law.dim)
     if is_exact_law(law):
-        mode, crn = "exact", False
-        h_a = np.broadcast_to(exact_support(law, dirs), (len(perms), m))
-        if method == "permute-direction":
-            h_b = exact_support(law, permuted_dirs.reshape(-1, law.dim)).reshape(len(perms), m)
-        else:
-            h_b = np.stack([exact_support(permute_law(law, p), dirs) for p in perms])
-        pooled = np.zeros((len(perms), m))
+        mode, h, pooled = "exact", exact_support(law, orbit), np.zeros(p * m)
     else:
-        mode, crn = "statistical", True
-        orbit = np.concatenate([dirs[None], permuted_dirs]).reshape(-1, law.dim)
+        mode = "statistical"
         mom = projection_moments(law.sample(budget, rng), orbit,
-                                 pairs=(np.tile(np.arange(m), len(perms)), np.arange(m, (len(perms) + 1) * m)))
-        h_a = np.broadcast_to(mom.mean[:m], (len(perms), m))
-        h_b = mom.mean[m:].reshape(len(perms), m)
-        pooled = mom.paired_se.reshape(len(perms), m)
-
-    worst, worst_perm, worst_score = None, None, -1.0
-    for i, perm in enumerate(perms):
-        rep = _build_report(grid, h_a[i], h_b[i], pooled[i], mode, tau, crn, False)
-        score = rep.max_abs_delta if mode == "exact" else rep.max_standardized
-        if score > worst_score:
-            worst, worst_perm, worst_score = rep, perm, score
-    # one comparison per direction and permutation
-    limit = EXACT_TOL if mode == "exact" else effective_tau(tau, m * len(perms), bonferroni)
-    return replace(worst, verdict=bool(worst_score <= limit), extras={
-        "worst_permutation": worst_perm, "n_permutations": len(perms), "method": method})
+                                 pairs=(np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)))
+        h, pooled = mom.mean, mom.paired_se
+    # all m x p comparisons in one pass; the report keeps the permutation of the first worst one
+    h_a, h_b = h[:m], h[m:]
+    row = int(_scores(np.tile(h_a, p), h_b, pooled, mode).argmax()) // m
+    at = slice(row * m, (row + 1) * m)
+    return _build_report(grid, h_a, h_b[at], pooled[at], mode, tau, mode == "statistical", bonferroni,
+                         {"worst_permutation": perms[row], "n_permutations": p}, comparisons=m * p)
 
 
 def test_lift_swap_invariance(
@@ -408,29 +380,12 @@ def check_positivity_necessity(law, budget: int = DEFAULT_BUDGET, seed=None) -> 
 
 def canonical_discrete(law: DiscreteLaw, atom_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically sorted atoms with near-duplicates merged."""
-    order = np.lexsort(law.atoms.T[::-1])
-    atoms = law.atoms[order]
-    weights = law.weights[order]
-    out_atoms = [atoms[0]]
-    out_w = [weights[0]]
-    for a, w in zip(atoms[1:], weights[1:]):
-        if np.abs(a - out_atoms[-1]).max() <= atom_tol:
-            out_w[-1] += w
-        else:
-            out_atoms.append(a)
-            out_w.append(w)
-    return np.array(out_atoms), np.array(out_w)
+    return merge_atoms(law.atoms, law.weights, atom_tol)
 
 
 def discrete_equal_in_distribution(a: DiscreteLaw, b: DiscreteLaw,
                                    atom_tol: float = 1e-9, mass_tol: float = 1e-12) -> bool:
-    atoms_a, w_a = canonical_discrete(a, atom_tol)
-    atoms_b, w_b = canonical_discrete(b, atom_tol)
-    if atoms_a.shape != atoms_b.shape:
-        return False
-    return bool(
-        np.abs(atoms_a - atoms_b).max() <= atom_tol and np.abs(w_a - w_b).max() <= mass_tol
-    )
+    return measures_close(a.atoms, a.weights, b.atoms, b.weights, atom_tol, mass_tol)
 
 
 def is_exchangeable_discrete(law: DiscreteLaw, atom_tol: float = 1e-9, mass_tol: float = 1e-10) -> bool:
@@ -478,7 +433,7 @@ def measure_change(base: DiscreteLaw, pivot: int) -> MeasureChangedLaw:
     total = new_w.sum()
     if abs(total - 1.0) > 1e-12:
         raise InternalConsistencyError(f"reweighted mass {total!r} deviates from 1")
-    atoms, weights = canonical_discrete(DiscreteLaw(ratios, new_w / total))
+    atoms, weights = merge_atoms(ratios, new_w / total, tol=1e-9)
     return MeasureChangedLaw(base, pivot, DiscreteLaw(atoms, weights / weights.sum()))
 
 
@@ -562,14 +517,13 @@ def test_zonoid_stationarity(
 def builtin_even_homogeneous_family(d: int, seed=0, n_polytopes: int = 2) -> list[tuple[str, callable]]:
     """Library of even 1-homogeneous test functionals on R^d.
 
-    p-norms, the componentwise max modulus, and symmetrized support functions
-    of random polytopes.
+    The 1-, 2- and inf-norms, and symmetrized support functions of random
+    polytopes.
     """
     fns = [
         ("norm-1", lambda x: np.abs(x).sum(axis=1)),
         ("norm-2", lambda x: np.linalg.norm(x, axis=1)),
         ("norm-inf", lambda x: np.abs(x).max(axis=1)),
-        ("max-abs-coord", lambda x: np.abs(x).max(axis=1)),
     ]
     rng = as_rng(seed)
     for i in range(n_polytopes):

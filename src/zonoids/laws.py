@@ -357,6 +357,47 @@ def law_is_positive(law) -> bool | None:
     return None
 
 
+def require_positive(law, pilot: int, rng, what: str) -> None:
+    """Raise unless ``law`` is positive: decided exactly where possible, else by
+    the minimum of a pilot sample of ``pilot`` rows drawn from ``rng``."""
+    known = law_is_positive(law)
+    if known is None:
+        known = bool(law.sample(pilot, rng).min() > 0.0)
+    if not known:
+        raise ValueError(f"{what} needs a positive law")
+
+
+def merge_atoms(atoms: np.ndarray, masses: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically sorted atoms; an atom within ``tol`` (max norm) of the
+    first atom of the run before it merges into that run by mass addition."""
+    if atoms.shape[0] == 0:
+        return atoms, masses
+    order = np.lexsort(atoms.T[::-1])
+    atoms, masses = atoms[order], masses[order]
+    out_a, out_m = [atoms[0]], [masses[0]]
+    for a, m in zip(atoms[1:], masses[1:]):
+        if np.abs(a - out_a[-1]).max() <= tol:
+            out_m[-1] += m
+        else:
+            out_a.append(a)
+            out_m.append(m)
+    return np.array(out_a), np.array(out_m)
+
+
+def measures_close(atoms_a, masses_a, atoms_b, masses_b, atom_tol: float = 1e-9, mass_tol: float = 1e-9) -> bool:
+    """Whether two finite discrete measures agree once merged: same number of
+    atoms, atoms within ``atom_tol`` and masses within ``mass_tol``."""
+    atoms_a, masses_a = merge_atoms(np.asarray(atoms_a, float), np.asarray(masses_a, float), atom_tol)
+    atoms_b, masses_b = merge_atoms(np.asarray(atoms_b, float), np.asarray(masses_b, float), atom_tol)
+    if atoms_a.shape != atoms_b.shape:
+        return False
+    if atoms_a.shape[0] == 0:
+        return True
+    return bool(
+        np.abs(atoms_a - atoms_b).max() <= atom_tol and np.abs(masses_a - masses_b).max() <= mass_tol
+    )
+
+
 def permute_law(law, perm):
     """Law of the coordinate-permuted vector: component i becomes component perm[i]."""
     perm = np.asarray(perm, dtype=int)
@@ -685,7 +726,8 @@ def _radial_from_spec(spec: dict):
     raise SchemaError(f"unknown radial kind {kind!r}; expected one of {_RADIAL_KINDS}")
 
 
-def _scalar_base_from_spec(spec: dict) -> ScalarBase:
+def scalar_base_from_json(spec: dict) -> ScalarBase:
+    """Parse a scalar base spec ({"kind": "normal"} and friends)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SchemaError("base spec must be an object with a 'kind' field")
     kind = spec["kind"]
@@ -710,11 +752,6 @@ def _scalar_base_from_spec(spec: dict) -> ScalarBase:
     raise SchemaError(f"unknown base kind {kind!r}; expected one of {_BASE_KINDS}")
 
 
-def scalar_base_from_json(spec: dict) -> ScalarBase:
-    """Parse a scalar base spec ({"kind": "normal"} and friends)."""
-    return _scalar_base_from_spec(spec)
-
-
 def law_from_json(doc: dict):
     """Parse a law document; unknown fields are rejected."""
     if not isinstance(doc, dict) or "type" not in doc:
@@ -735,7 +772,7 @@ def law_from_json(doc: dict):
         return EllipticalLaw(mean, sampler, np.asarray(doc["matrix"], dtype=float), dict(doc["radial"]))
     if t == "location-scale":
         _check_fields(doc, {"type", "base", "location", "scale"}, "location-scale law")
-        return LocationScaleLaw(_scalar_base_from_spec(doc["base"]), float(doc["location"]), float(doc["scale"]))
+        return LocationScaleLaw(scalar_base_from_json(doc["base"]), float(doc["location"]), float(doc["scale"]))
     raise SchemaError(f"unknown law type {t!r}")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariance import test_zonoid_stationarity
-from .laws import DiscreteLaw, GaussianLaw, law_is_positive
+from .laws import DiscreteLaw, GaussianLaw, measures_close, require_positive
 from .rng import as_rng, run_chunked, spawn_rngs
 from .zonoid import DEFAULT_BUDGET, DirectionGrid, support_at
 
@@ -56,10 +56,7 @@ def _check_symmetric(driver, rng) -> None:
     functionals have mean zero within four standard errors.
     """
     if isinstance(driver, DiscreteLaw):
-        from .invariance import discrete_equal_in_distribution
-
-        negated = DiscreteLaw(-driver.atoms, driver.weights)
-        if not discrete_equal_in_distribution(driver, negated):
+        if not measures_close(driver.atoms, driver.weights, -driver.atoms, driver.weights, mass_tol=1e-12):
             raise ValueError("sum mode needs a symmetric driver; the atom set is not sign-symmetric")
         return
     if isinstance(driver, GaussianLaw):
@@ -77,16 +74,6 @@ def _check_symmetric(driver, rng) -> None:
             se = vals.std(ddof=1) / math.sqrt(n)
             if abs(vals.mean()) > 4.0 * se + 1e-12:
                 raise ValueError("sum mode needs a symmetric driver; a sign-odd functional has nonzero mean")
-
-
-def _check_positive(driver, rng) -> None:
-    known = law_is_positive(driver)
-    if known is False:
-        raise ValueError("max mode needs a positive driver")
-    if known is None:
-        pilot = driver.sample(4096, rng)
-        if pilot.min() <= 0.0:
-            raise ValueError("max mode needs a positive driver; pilot sample hit non-positive values")
 
 
 def _sum_path(driver, n_terms: int, rng) -> tuple[np.ndarray, float, int]:
@@ -128,7 +115,7 @@ def simulate_lepage(cfg: LePageConfig, workers: int = 1) -> LePageResult:
     if cfg.mode == "sum":
         _check_symmetric(cfg.driver, check_rng)
     else:
-        _check_positive(cfg.driver, check_rng)
+        require_positive(cfg.driver, 4096, check_rng, "max mode")
 
     d = cfg.driver.dim
     values = np.empty((cfg.paths, d))

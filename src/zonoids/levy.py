@@ -24,6 +24,8 @@ from .laws import (
     SamplerLaw,
     ScalarBase,
     _check_fields,
+    measures_close,
+    merge_atoms,
     symmetrized_psd_factor,
 )
 from .rng import as_rng
@@ -142,21 +144,6 @@ def u_matrix(d: int) -> np.ndarray:
     return u
 
 
-def _merge_atoms(atoms: np.ndarray, masses: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    if atoms.shape[0] == 0:
-        return atoms, masses
-    order = np.lexsort(atoms.T[::-1])
-    atoms, masses = atoms[order], masses[order]
-    out_a, out_m = [atoms[0]], [masses[0]]
-    for a, m in zip(atoms[1:], masses[1:]):
-        if np.abs(a - out_a[-1]).max() <= tol:
-            out_m[-1] += m
-        else:
-            out_a.append(a)
-            out_m.append(m)
-    return np.array(out_a), np.array(out_m)
-
-
 def tilted_pushforward(nu_atoms, nu_masses, *, merge_tol: float = ATOM_MERGE_TOL):
     """Image of e^{x_d} d nu(x) under the difference map, away from the origin.
 
@@ -176,20 +163,7 @@ def tilted_pushforward(nu_atoms, nu_masses, *, merge_tol: float = ATOM_MERGE_TOL
     images = atoms[:, :-1] - atoms[:, -1:]
     tilted = masses * np.exp(atoms[:, -1])
     keep = np.abs(images).max(axis=1) > 1e-12 if images.size else np.zeros(0, bool)
-    return _merge_atoms(images[keep], tilted[keep], merge_tol)
-
-
-def measures_close(atoms_a, masses_a, atoms_b, masses_b,
-                   atom_tol: float = ATOM_MERGE_TOL, mass_tol: float = 1e-9) -> bool:
-    atoms_a, masses_a = _merge_atoms(np.asarray(atoms_a, float), np.asarray(masses_a, float), atom_tol)
-    atoms_b, masses_b = _merge_atoms(np.asarray(atoms_b, float), np.asarray(masses_b, float), atom_tol)
-    if atoms_a.shape != atoms_b.shape:
-        return False
-    if atoms_a.shape[0] == 0:
-        return True
-    return bool(
-        np.abs(atoms_a - atoms_b).max() <= atom_tol and np.abs(masses_a - masses_b).max() <= mass_tol
-    )
+    return merge_atoms(images[keep], tilted[keep], merge_tol)
 
 
 def expectation_condition(t: LevyTriplet, i: int) -> float:

@@ -31,8 +31,9 @@ from zonoids.laws import (
     permute_law,
     transform_law,
 )
+from zonoids.levy import check_lognormal_equiv
 from zonoids.rng import as_rng
-from zonoids.zonoid import DirectionGrid, support_centred
+from zonoids.zonoid import DirectionGrid, exact_support, support_centred
 
 SWAPPY = DiscreteLaw([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5])
 CORO_A = LognormalLaw(GaussianLaw([-0.5, -0.5], np.eye(2)))
@@ -166,14 +167,36 @@ def test_perturbed_lognormal_fails_swap():
 
 
 def test_swap_methods_agree():
+    # the orbit evaluation h(pi^-1 u) against the permuted laws, enumerated
     for law in (SWAPPY, DiscreteLaw([[1.0, 2.0], [2.0, 1.2]], [0.5, 0.5])):
-        r1 = test_swap_invariance(law, "all", method="permute-law")
-        r2 = test_swap_invariance(law, "all", method="permute-direction")
-        assert r1.verdict == r2.verdict
-    law = lognormal_swap_law([0.3], d=2)
-    r1 = test_swap_invariance(law, "all", budget=50_000, seed=11, method="permute-law")
-    r2 = test_swap_invariance(law, "all", budget=50_000, seed=11, method="permute-direction")
-    assert r1.verdict == r2.verdict
+        rep = test_swap_invariance(law, "all")
+        dirs = rep.grid.directions
+        h = exact_support(law, dirs)
+        ref = max(float(np.abs(h - exact_support(permute_law(law, p), dirs)).max())
+                  for p in itertools.permutations(range(law.dim)))
+        assert rep.mode == "exact"
+        assert rep.verdict == (ref <= 1e-10)
+        assert abs(rep.max_abs_delta - ref) <= 1e-12
+
+
+def test_exact_swap_directions_fixed_or_negated_by_the_permutation_get_zero_delta():
+    rng = as_rng(7)
+    law = DiscreteLaw(rng.uniform(-2.0, 2.0, size=(9, 4)), np.full(9, 1.0 / 9.0))
+    perm = (1, 0, 2, 3)
+    generic = rng.standard_normal((20, 4))
+    fixed = rng.standard_normal((20, 4))
+    fixed[:, 1] = fixed[:, 0]
+    negated = np.zeros((20, 4))
+    negated[:, 0] = rng.standard_normal(20)
+    negated[:, 1] = -negated[:, 0]
+    dirs = np.vstack([generic, fixed, negated])
+    rep = test_swap_invariance(law, [perm], DirectionGrid(dirs / np.linalg.norm(dirs, axis=1, keepdims=True)))
+    assert rep.mode == "exact" and not rep.verdict
+    u = rep.grid.directions
+    image = u[:, np.argsort(perm)]
+    assert np.array_equal(image[20:40], u[20:40]) and np.array_equal(image[40:], -u[40:])
+    assert np.all(rep.delta[20:] == 0.0)
+    assert np.all(rep.delta[:20] != 0.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -184,6 +207,33 @@ def test_invariant_lognormal_swap_law_not_rejected(seed):
                                bonferroni=True)
     assert rep.mode == "statistical"
     assert rep.verdict, f"max standardized {rep.max_standardized}"
+
+
+# Calibration on true nulls under Bonferroni: the family-wise level of tau = 3 is
+# erfc(3 / sqrt(2)) ~ 0.0027, so two or more rejections among 16 seeds have
+# probability below 1e-3.
+CALIBRATION_SEEDS = range(16)
+
+
+def test_swap_calibration_on_an_invariant_lognormal_law():
+    law = lognormal_swap_law([0.5], 3)
+    rejected = [seed for seed in CALIBRATION_SEEDS
+                if not test_swap_invariance(law, "all", budget=20_000, seed=seed, bonferroni=True).verdict]
+    assert len(rejected) <= 1, rejected
+
+
+def test_equiv_calibration_on_certified_lognormal_pairs():
+    # (mu, A) and (mu - c/2, A + c) share mu_i + a_ii / 2 and the variogram
+    rng = as_rng(2024)
+    rejected = []
+    for seed in CALIBRATION_SEEDS:
+        f = 0.5 * rng.standard_normal((2, 2))
+        mu, cov, c = 0.3 * rng.standard_normal(2), f @ f.T + 0.1 * np.eye(2), rng.uniform(0.1, 1.0)
+        law_a, law_b = LognormalLaw(GaussianLaw(mu, cov)), LognormalLaw(GaussianLaw(mu - c / 2.0, cov + c))
+        assert check_lognormal_equiv(law_a, law_b).verdict
+        if not test_zonoid_equiv(law_a, law_b, budget=100_000, seed=seed, bonferroni=True).verdict:
+            rejected.append(seed)
+    assert len(rejected) <= 1, rejected
 
 
 def test_swap_directions_fixed_by_the_permutation_get_zero_delta():

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .laws import DiscreteLaw, lift_law, measures_close, merge_atoms, permute_law, require_positive
 from .rng import as_rng
-from .zonoid import DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, exact_support, is_exact_law, projection_moments
+from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, exact_support,
+                     functional_moments, is_exact_law, projection_moments)
 
 # A statistical score divides each delta by max(pooled SE, SE_FLOOR * max(|h_a|, |h_b|)).
 # The floor is far above the roundoff of a blocked mean and far below the SE
@@ -76,15 +77,6 @@ class EquivalenceReport:
             yield (*u.tolist(), float(a), float(b), float(d), float(s))
 
 
-def _standardize(delta: np.ndarray, se: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(delta)
-    live = se > 0
-    out[live] = np.abs(delta[live]) / se[live]
-    dead_bad = (~live) & (np.abs(delta) > EXACT_TOL)
-    out[dead_bad] = np.inf
-    return out
-
-
 def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
     """Per-comparison threshold; Bonferroni spreads the two-sided level of tau over m comparisons."""
     if not bonferroni:
@@ -93,31 +85,41 @@ def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / (2.0 * m))
 
 
-def _side_moments(law, samples, dirs: np.ndarray, kind: str):
-    """Support values and standard errors of one side: exact when it was not sampled."""
-    if samples is None:
-        return exact_support(law, dirs, kind), 0.0
-    mom = projection_moments(samples, dirs, kind)
-    return mom.mean, mom.se
+def _draw_pair(law_a, law_b, budget: int, rng):
+    """Samples of two laws of one dimension, and whether they are coupled.
+
+    Laws with the same kind of driver (``"normal"`` or ``"uniform"``) are drawn
+    from one shared driver, as common random numbers; any other pair is drawn
+    independently, a before b.
+    """
+    kind = law_a.driver_kind
+    if kind in ("normal", "uniform") and kind == law_b.driver_kind:
+        driver = rng.standard_normal((budget, law_a.dim)) if kind == "normal" else rng.random(budget)
+        return law_a.sample_with_driver(driver), law_b.sample_with_driver(driver), True
+    return law_a.sample(budget, rng), law_b.sample(budget, rng), False
 
 
-def _shared_driver(law_a, law_b, budget: int, rng):
-    if law_a.driver_kind is None or law_a.driver_kind != law_b.driver_kind:
-        return None
-    if law_a.driver_kind == "normal":
-        if law_a.dim != law_b.dim:
-            return None
-        return rng.standard_normal((budget, law_a.dim))
-    if law_a.driver_kind == "uniform":
-        return rng.random(budget)
-    return None
+def _compare(reduce, k: int, side_a, side_b, paired: bool):
+    """h_a, h_b and the standard error of h_a - h_b over k columns.
+
+    ``reduce(side, pairs=None)`` is a kernel front end.  Paired sides are
+    reduced in one call and get the SE of the row-wise difference; otherwise
+    each side is reduced alone and the two SEs add in quadrature.
+    """
+    if paired:
+        mom = reduce((side_a, side_b), pairs=(np.arange(k), np.arange(k, 2 * k)))
+        return mom.mean[:k], mom.mean[k:], mom.paired_se
+    mom_a, mom_b = reduce(side_a), reduce(side_b)
+    return mom_a.mean, mom_b.mean, np.hypot(mom_a.se, mom_b.se)
 
 
 def _scores(h_a, h_b, pooled, mode: str) -> np.ndarray:
     """Per-comparison score: |delta| in exact mode, else |delta| over the floored pooled SE."""
+    delta = np.abs(h_a - h_b)
     if mode == "exact":
-        return np.abs(h_a - h_b)
-    return _standardize(h_a - h_b, np.maximum(pooled, SE_FLOOR * np.maximum(np.abs(h_a), np.abs(h_b))))
+        return delta
+    se = np.maximum(pooled, SE_FLOOR * np.maximum(np.abs(h_a), np.abs(h_b)))
+    return np.divide(delta, se, out=np.zeros_like(delta), where=se > 0)  # se is 0 only where h_a = h_b = 0
 
 
 def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=None,
@@ -128,7 +130,7 @@ def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=Non
     worst = int(score.argmax())
     if mode == "exact":
         verdict = bool(score[worst] <= EXACT_TOL)
-        max_std = float(_standardize(h_a - h_b, pooled).max())
+        max_std = 0.0 if verdict else math.inf  # an exact delta has SE 0
     else:
         max_std = float(score[worst])
         verdict = bool(max_std <= effective_tau(tau, comparisons or len(grid), bonferroni))
@@ -175,24 +177,21 @@ def test_zonoid_equiv(
     rng = as_rng(seed)
     crn = samples_coupled
     if not exact_a and not exact_b and samples_a is None and samples_b is None:
-        driver = _shared_driver(law_a, law_b, budget, rng)
-        if driver is not None:
-            samples_a = law_a.sample_with_driver(driver)
-            samples_b = law_b.sample_with_driver(driver)
-            crn = True
+        samples_a, samples_b, crn = _draw_pair(law_a, law_b, budget, rng)
     if not exact_a and samples_a is None:
         samples_a = law_a.sample(budget, rng)
     if not exact_b and samples_b is None:
         samples_b = law_b.sample(budget, rng)
 
-    if crn and not exact_a and not exact_b and samples_a.shape[0] == samples_b.shape[0]:
-        m = len(grid)
-        mom = projection_moments((samples_a, samples_b), dirs, kind, pairs=(np.arange(m), np.arange(m, 2 * m)))
-        h_a, h_b, pooled = mom.mean[:m], mom.mean[m:], mom.paired_se
-    else:
-        h_a, se_a = _side_moments(law_a, samples_a, dirs, kind)
-        h_b, se_b = _side_moments(law_b, samples_b, dirs, kind)
-        pooled = np.hypot(se_a, se_b)
+    def reduce(side, pairs=None):  # an exact side is its law, evaluated in closed form
+        if is_exact_law(side):
+            h = exact_support(side, dirs, kind)
+            return ProjectionMoments(h, np.zeros(h.size), np.zeros(0), 0)
+        return projection_moments(side, dirs, kind, pairs=pairs)
+
+    paired = crn and not exact_a and not exact_b and samples_a.shape[0] == samples_b.shape[0]
+    h_a, h_b, pooled = _compare(reduce, len(grid), law_a if exact_a else samples_a,
+                                law_b if exact_b else samples_b, paired)
     return _build_report(grid, h_a, h_b, pooled, "statistical", tau, crn, bonferroni)
 
 
@@ -581,30 +580,13 @@ def test_even_homogeneous(
     for name, fn in functions:
         _spot_check_even_homogeneous(name, fn, d, rng)
 
-    driver = _shared_driver(law_a, law_b, budget, rng)
-    if driver is not None:
-        sa, sb = law_a.sample_with_driver(driver), law_b.sample_with_driver(driver)
-        crn = True
-    else:
-        sa, sb = law_a.sample(budget, rng), law_b.sample(budget, rng)
-        crn = False
-    names = tuple(n for n, _ in functions)
-    mean_a = np.empty(len(functions))
-    mean_b = np.empty(len(functions))
-    pooled = np.empty(len(functions))
-    for i, (_, fn) in enumerate(functions):
-        va, vb = fn(sa), fn(sb)
-        mean_a[i], mean_b[i] = va.mean(), vb.mean()
-        if crn:
-            diff = va - vb
-            pooled[i] = diff.std(ddof=1) / math.sqrt(diff.shape[0])
-        else:
-            pooled[i] = math.hypot(va.std(ddof=1), vb.std(ddof=1)) / math.sqrt(budget)
-    delta = mean_a - mean_b
-    std = _standardize(delta, pooled)
-    max_std = float(std.max())
-    return EvenHomogeneousReport(names, mean_a, mean_b, delta, pooled, max_std,
-                                 bool(max_std <= tau), tau, crn)
+    sa, sb, crn = _draw_pair(law_a, law_b, budget, rng)
+    fns = [fn for _, fn in functions]
+    mean_a, mean_b, pooled = _compare(lambda s, pairs=None: functional_moments(s, fns, pairs=pairs),
+                                      len(fns), sa, sb, crn)
+    max_std = float(_scores(mean_a, mean_b, pooled, "statistical").max())
+    return EvenHomogeneousReport(tuple(n for n, _ in functions), mean_a, mean_b, mean_a - mean_b, pooled,
+                                 max_std, bool(max_std <= tau), tau, crn)
 
 
 # these testers are library API, not pytest cases; stop pytest from collecting

@@ -176,17 +176,6 @@ def _guard_verdict(small: np.ndarray, big: np.ndarray, vmax: np.ndarray, total: 
         )
 
 
-def _integrability_guard(values: np.ndarray) -> None:
-    """Run the divergence guard on one stream held in memory."""
-    n = values.shape[0]
-    if n < _GUARD_MIN_ROWS:
-        return
-    small = values[: n - n % _GUARD_CHUNKS[0]].reshape(_GUARD_CHUNKS[0], -1).mean(axis=1)
-    big = values[: n - n % _GUARD_CHUNKS[1]].reshape(_GUARD_CHUNKS[1], -1).mean(axis=1)
-    _guard_verdict(small[:, None], big[:, None], np.array([values.max()]), np.array([values.sum()]),
-                   np.array([np.count_nonzero(values[: n // _GUARD_CHUNKS[0]])]))
-
-
 def _sample_for(law, budget: int, seed) -> np.ndarray:
     if seed is None:
         raise ValueError("a seed or generator is required for Monte Carlo support evaluation")
@@ -202,9 +191,9 @@ _FUNCTIONALS = ("centred", "noncentred", "max")
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMoments:
-    """Per-column means of f(<x, u>) over sample rows, with standard errors.
+    """Per-column means over sample rows, with standard errors.
 
-    ``mean`` and ``se`` have one entry per direction column; ``paired_se`` has
+    ``mean`` and ``se`` have one entry per column; ``paired_se`` has
     one entry per requested column pair: the standard error of the mean of the
     row-wise difference of the two columns.  ``n`` is the row count.
     """
@@ -348,53 +337,32 @@ def _atom_block_sums(chunk: np.ndarray, atoms: np.ndarray, kind: str) -> np.ndar
     return values.sum(axis=0)
 
 
-def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
-                       pairs=None) -> ProjectionMoments:
-    """Moments of f(<x, u>) over the rows x of a sample, for every direction u.
+def _reduce_columns(samples, k: int, write, pairs) -> ProjectionMoments:
+    """Means and standard errors of the value columns of a sample, k per side.
 
-    f is |.| (``"centred"``), (.)_+ (``"noncentred"``) or the max functional
-    max(0, u_1 x_1, ..., u_d x_d) (``"max"``).  ``samples`` is an (n, d)
-    matrix, or a tuple of matrices whose rows are coupled (common random
-    numbers); each side is projected onto every row of ``directions`` and the
-    columns of the sides follow one another.  ``pairs`` = (a, b) names column
-    pairs whose row-wise difference gets a paired standard error.
+    ``samples`` is an (n, d) matrix, or a tuple of matrices whose rows are
+    coupled (common random numbers); ``write(x, out)`` fills ``out`` with the
+    k columns of a block x of one side's rows, one row of ``out`` per column,
+    and the columns of the sides follow one another.  ``pairs`` = (a, b) names
+    column pairs whose row-wise difference gets a paired standard error: a
+    pair's SE ignores its order, a pair of one column gets exactly 0, and each
+    distinct pair is reduced once.  When n reaches ``_GUARD_MIN_ROWS`` every
+    value column passes the integrability guard, from chunk sums and maxima
+    kept on the way.
 
-    A sample is projected once per distinct direction: bitwise-equal rows share
-    one column, and so, for the even |.|, do a row and its exact negation.  A
-    pair whose two directions share a column gets delta and paired SE exactly
-    0, and each distinct pair is reduced once.  The results come back in the
-    caller's row and pair order.
-
-    ``weights`` marks the rows as the atoms of a discrete law: each mean is then
-    the exact sum of w f, and every standard error is 0.  Each exact value is
-    bitwise independent of the other direction rows in the call, so a row
-    and its duplicate or exact negation (for |.|) get the same value.
-    Otherwise each column passes the integrability guard, from chunk sums and
-    maxima kept on the way.
-
-    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values, one matrix
-    product per side and block.  Per-block (count, mean, M2) summaries are merged
-    pairwise (Chan, Golub & LeVeque, 1983): no raw sums of squares are formed.
+    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values.  Per-block
+    (count, mean, M2) summaries are merged pairwise (Chan, Golub & LeVeque,
+    1983): no raw sums of squares are formed.
     """
-    if kind not in _FUNCTIONALS:
-        raise ValueError(f"unknown support kind {kind!r}")
     sides = samples if isinstance(samples, tuple) else (samples,)
-    dirs = np.asarray(directions, dtype=float)
     n = sides[0].shape[0]
     if n < 1 or any(x.shape[0] != n for x in sides):
         raise ValueError("every side needs the same, positive number of rows")
-    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
-    if weights is not None:
-        exact = np.concatenate([_weighted_means(x, dirs, kind, weights) for x in sides])
-        return ProjectionMoments(exact, np.zeros(exact.size), np.zeros(a.size), n)
-    dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
-    # the projected column of each of the caller's columns, side by side
-    cols = (np.arange(len(sides))[:, None] * dirs.shape[0] + col).ravel()
-    ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)  # a pair's SE ignores its order
+    a, b = (np.asarray(p, dtype=np.intp) for p in pairs or ((), ()))
+    ends = np.sort(np.column_stack([a, b]), axis=1)
     live = np.flatnonzero(ends[:, 0] != ends[:, 1])
     ends, pair_row = _distinct_rows(ends[live])
     pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
-    k = dirs.shape[0]
     width = k * len(sides)
     total = width + ends.shape[0]
     rows = max(1, BLOCK_ELEMENTS // total)
@@ -408,7 +376,7 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
             block = np.empty((total, stop - start))
             values = block[:width]
             for s, x in enumerate(sides):
-                _project(x[start:stop], dirs, kind, values[s * k:(s + 1) * k])
+                write(x[start:stop], values[s * k:(s + 1) * k])
             if ends.size:
                 np.subtract(values[pa], values[pb], out=block[width:])
             r = stop - start
@@ -431,7 +399,57 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(total)
     paired = np.zeros(a.size)
     paired[live] = se[width:][pair_row]
-    return ProjectionMoments(mean[cols], se[cols], paired, n)
+    return ProjectionMoments(mean[:width], se[:width], paired, n)
+
+
+def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
+                       pairs=None) -> ProjectionMoments:
+    """Moments of f(<x, u>) over the rows x of a sample, for every direction u.
+
+    f is |.| (``"centred"``), (.)_+ (``"noncentred"``) or the max functional
+    max(0, u_1 x_1, ..., u_d x_d) (``"max"``).  ``samples`` and ``pairs`` are
+    as for ``_reduce_columns``, with one column per direction and side.
+
+    A sample is projected once per distinct direction, one matrix product per
+    side and block: bitwise-equal rows share one column, and so, for the even
+    |.|, do a row and its exact negation.  A pair whose two directions share a
+    column gets delta and paired SE exactly 0.  The results come back in the
+    caller's row and pair order.
+
+    ``weights`` marks the rows of one matrix as the atoms of a discrete law:
+    each mean is then the exact sum of w f, and every standard error is 0.
+    Each exact value is bitwise independent of the other direction rows in the
+    call, so a row and its duplicate or exact negation (for |.|) get the same
+    value.
+    """
+    if kind not in _FUNCTIONALS:
+        raise ValueError(f"unknown support kind {kind!r}")
+    dirs = np.asarray(directions, dtype=float)
+    a, b = (np.asarray(p, dtype=np.intp) for p in pairs or ((), ()))
+    if weights is not None:
+        exact = _weighted_means(samples, dirs, kind, weights)
+        return ProjectionMoments(exact, np.zeros(exact.size), np.zeros(a.size), samples.shape[0])
+    dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
+    k = dirs.shape[0]
+    sides = len(samples) if isinstance(samples, tuple) else 1
+    cols = (np.arange(sides)[:, None] * k + col).ravel()  # the projected column of each caller's column
+    mom = _reduce_columns(samples, k, lambda x, out: _project(x, dirs, kind, out), (cols[a], cols[b]))
+    return ProjectionMoments(mom.mean[cols], mom.se[cols], mom.paired_se, mom.n)
+
+
+def functional_moments(samples, functions, *, pairs=None) -> ProjectionMoments:
+    """Moments of f(x) over the rows x of a sample, for every callable f in ``functions``.
+
+    Each f maps an (r, d) block of rows to r nonnegative values (the guard
+    weighs a column's largest value against its sum).  ``samples`` and
+    ``pairs`` are as for ``_reduce_columns``, with one column per function and
+    side.
+    """
+    def write(x, out):
+        for j, f in enumerate(functions):
+            out[j] = f(x)
+
+    return _reduce_columns(samples, len(functions), write, pairs)
 
 
 _folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
@@ -640,14 +658,12 @@ def mean_width_check(law, nodes: int = 10_000, budget: int = DEFAULT_BUDGET, see
     """
     d = law.dim
     pts, w = sphere_quadrature(d, nodes)
-    if isinstance(law, DiscreteLaw):
-        enorm = float(law.weights @ np.linalg.norm(law.atoms, axis=1))
-        enorm_se = 0.0
+    if isinstance(law, DiscreteLaw):  # exact: a weighted sum over the atoms
+        enorm, enorm_se = float(law.weights @ np.linalg.norm(law.atoms, axis=1)), 0.0
     else:
         samples = _sample_for(law, budget, seed)
-        norms = np.linalg.norm(samples, axis=1)
-        enorm = float(norms.mean())
-        enorm_se = float(norms.std(ddof=1)) / math.sqrt(len(norms))
+        mom = functional_moments(samples, [lambda x: np.linalg.norm(x, axis=1)])
+        enorm, enorm_se = float(mom.mean[0]), float(mom.se[0])
     hvals = exact_support(law, pts) if is_exact_law(law) else projection_moments(samples, pts).mean
     integral = float(w @ hvals)
     identity = integral / (2.0 * unit_ball_volume(d - 1))

@@ -13,7 +13,9 @@ from zonoids.laws import DiscreteLaw, GaussianLaw, LognormalLaw, SamplerLaw
 from zonoids.rng import as_rng
 from zonoids.zonoid import (
     DirectionGrid,
-    _integrability_guard,
+    _GUARD_CHUNKS,
+    _GUARD_MIN_ROWS,
+    _guard_verdict,
     exact_support,
     grid_support,
     mean_width_check,
@@ -228,6 +230,17 @@ def test_support_functions_are_grid_rows(problem):
 # ---------------------------------------------------------------------------
 # integrability guard
 # ---------------------------------------------------------------------------
+
+def _integrability_guard(values):
+    """The divergence guard on one stream held in memory: the kernel guard's reference."""
+    n = values.shape[0]
+    if n < _GUARD_MIN_ROWS:
+        return
+    small = values[: n - n % _GUARD_CHUNKS[0]].reshape(_GUARD_CHUNKS[0], -1).mean(axis=1)
+    big = values[: n - n % _GUARD_CHUNKS[1]].reshape(_GUARD_CHUNKS[1], -1).mean(axis=1)
+    _guard_verdict(small[:, None], big[:, None], np.array([values.max()]), np.array([values.sum()]),
+                   np.array([np.count_nonzero(values[: n // _GUARD_CHUNKS[0]])]))
+
 
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_guard_agrees_with_in_memory_guard(seed):

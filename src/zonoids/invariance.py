@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .laws import DiscreteLaw, lift_law, measures_close, merge_atoms, permute_law, require_positive
-from .rng import as_rng
+from .rng import as_rng, spawn_rngs
 from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, exact_support,
                      functional_moments, is_exact_law, projection_moments)
 
@@ -575,10 +575,11 @@ def test_even_homogeneous(
         raise ValueError("dimension mismatch")
     d = law_a.dim
     rng = as_rng(seed)
+    checks = spawn_rngs(rng, 1)[0]  # a child stream: the samples do not depend on the functionals
     if functions is None:
-        functions = builtin_even_homogeneous_family(d, rng)
+        functions = builtin_even_homogeneous_family(d, checks)
     for name, fn in functions:
-        _spot_check_even_homogeneous(name, fn, d, rng)
+        _spot_check_even_homogeneous(name, fn, d, checks)
 
     sa, sb, crn = _draw_pair(law_a, law_b, budget, rng)
     fns = [fn for _, fn in functions]

@@ -413,6 +413,21 @@ def test_even_homogeneous_detects_scaling():
     assert rep.mean_b[i] / rep.mean_a[i] == pytest.approx(2.0, rel=0.05)
 
 
+def test_even_homogeneous_samples_do_not_depend_on_the_functionals():
+    # the spot checks draw from a child stream, so an appended functional leaves
+    # the samples, and with them the other columns, as they were; 4,000 rows fit
+    # in one block of the reduction on both calls
+    norms = [("norm-1", lambda x: np.abs(x).sum(axis=1)), ("norm-2", lambda x: np.linalg.norm(x, axis=1)),
+             ("norm-inf", lambda x: np.abs(x).max(axis=1))]
+    extra = ("norm-3", lambda x: (np.abs(x) ** 3).sum(axis=1) ** (1.0 / 3.0))
+    for fns in (norms, norms[:1]):
+        one = test_even_homogeneous(CORO_A, CORO_B, fns, budget=4_000, seed=65)
+        two = test_even_homogeneous(CORO_A, CORO_B, fns + [extra], budget=4_000, seed=65)
+        k = len(fns)
+        assert two.mean_a[:k].tobytes() == one.mean_a.tobytes()
+        assert two.mean_b[:k].tobytes() == one.mean_b.tobytes()
+
+
 def test_even_homogeneous_rejects_bad_functional():
     with pytest.raises(ValueError):
         test_even_homogeneous(CORO_A, CORO_B, functions=[("affine", lambda x: np.abs(x).sum(axis=1) + 1.0)],

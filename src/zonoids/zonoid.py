@@ -7,6 +7,7 @@ kind at every direction: exact laws go through ``exact_support``, samples
 through one blocked kernel, ``projection_moments``, which projects each block
 of sample rows onto every direction at once; the equivalence and swap testers
 share it.  ``grid_support`` and the ``support_*`` functions are views of it.
+The kernel's reduction core also takes callables (``functional_moments``).
 """
 from __future__ import annotations
 
@@ -337,18 +338,19 @@ def _atom_block_sums(chunk: np.ndarray, atoms: np.ndarray, kind: str) -> np.ndar
     return values.sum(axis=0)
 
 
-def _reduce_columns(samples, k: int, write, pairs) -> ProjectionMoments:
-    """Means and standard errors of the value columns of a sample, k per side.
+def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoments:
+    """Means and standard errors of the columns that ``write`` produces.
 
-    ``samples`` is an (n, d) matrix, or a tuple of matrices whose rows are
-    coupled (common random numbers); ``write(x, out)`` fills ``out`` with the
-    k columns of a block x of one side's rows, one row of ``out`` per column,
-    and the columns of the sides follow one another.  ``pairs`` = (a, b) names
-    column pairs whose row-wise difference gets a paired standard error: a
-    pair's SE ignores its order, a pair of one column gets exactly 0, and each
-    distinct pair is reduced once.  When n reaches ``_GUARD_MIN_ROWS`` every
-    value column passes the integrability guard, from chunk sums and maxima
-    kept on the way.
+    ``samples`` is an (n, d) matrix or a tuple of coupled ones (common random
+    numbers); ``write(x, out)`` writes k columns for a block x of one side's
+    rows, one row of ``out`` each, and the sides' columns follow one another.
+    Results come back per caller's column; ``col`` maps a side's caller
+    columns to the written ones (default: one to one).  ``pairs`` = (a, b)
+    names caller's column pairs whose row-wise difference gets a paired SE: a
+    pair's SE ignores its order, a pair of one written column gets exactly 0,
+    and each distinct pair is reduced once.  Every written column passes the
+    integrability guard, from chunk sums and maxima, once n reaches
+    ``_GUARD_MIN_ROWS``.
 
     Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values.  Per-block
     (count, mean, M2) summaries are merged pairwise (Chan, Golub & LeVeque,
@@ -358,8 +360,10 @@ def _reduce_columns(samples, k: int, write, pairs) -> ProjectionMoments:
     n = sides[0].shape[0]
     if n < 1 or any(x.shape[0] != n for x in sides):
         raise ValueError("every side needs the same, positive number of rows")
-    a, b = (np.asarray(p, dtype=np.intp) for p in pairs or ((), ()))
-    ends = np.sort(np.column_stack([a, b]), axis=1)
+    col = np.arange(k) if col is None else col
+    cols = (np.arange(len(sides))[:, None] * k + col).ravel()  # the written column of each caller's column
+    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
+    ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)
     live = np.flatnonzero(ends[:, 0] != ends[:, 1])
     ends, pair_row = _distinct_rows(ends[live])
     pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
@@ -399,7 +403,7 @@ def _reduce_columns(samples, k: int, write, pairs) -> ProjectionMoments:
     se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(total)
     paired = np.zeros(a.size)
     paired[live] = se[width:][pair_row]
-    return ProjectionMoments(mean[:width], se[:width], paired, n)
+    return ProjectionMoments(mean[cols], se[cols], paired, n)
 
 
 def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
@@ -413,8 +417,7 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     A sample is projected once per distinct direction, one matrix product per
     side and block: bitwise-equal rows share one column, and so, for the even
     |.|, do a row and its exact negation.  A pair whose two directions share a
-    column gets delta and paired SE exactly 0.  The results come back in the
-    caller's row and pair order.
+    column gets delta and paired SE exactly 0.  Results keep the caller's order.
 
     ``weights`` marks the rows of one matrix as the atoms of a discrete law:
     each mean is then the exact sum of w f, and every standard error is 0.
@@ -425,16 +428,12 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     if kind not in _FUNCTIONALS:
         raise ValueError(f"unknown support kind {kind!r}")
     dirs = np.asarray(directions, dtype=float)
-    a, b = (np.asarray(p, dtype=np.intp) for p in pairs or ((), ()))
     if weights is not None:
         exact = _weighted_means(samples, dirs, kind, weights)
-        return ProjectionMoments(exact, np.zeros(exact.size), np.zeros(a.size), samples.shape[0])
+        return ProjectionMoments(exact, np.zeros(exact.size), np.zeros(0 if pairs is None else len(pairs[0])),
+                                 samples.shape[0])
     dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
-    k = dirs.shape[0]
-    sides = len(samples) if isinstance(samples, tuple) else 1
-    cols = (np.arange(sides)[:, None] * k + col).ravel()  # the projected column of each caller's column
-    mom = _reduce_columns(samples, k, lambda x, out: _project(x, dirs, kind, out), (cols[a], cols[b]))
-    return ProjectionMoments(mom.mean[cols], mom.se[cols], mom.paired_se, mom.n)
+    return _reduce_columns(samples, dirs.shape[0], lambda x, out: _project(x, dirs, kind, out), pairs, col)
 
 
 def functional_moments(samples, functions, *, pairs=None) -> ProjectionMoments:

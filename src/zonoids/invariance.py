@@ -519,30 +519,25 @@ def builtin_even_homogeneous_family(d: int, seed=0, n_polytopes: int = 2) -> lis
     The 1-, 2- and inf-norms, and symmetrized support functions of random
     polytopes.
     """
-    fns = [
-        ("norm-1", lambda x: np.abs(x).sum(axis=1)),
-        ("norm-2", lambda x: np.linalg.norm(x, axis=1)),
-        ("norm-inf", lambda x: np.abs(x).max(axis=1)),
-    ]
+    fns = [("norm-1", lambda x: np.abs(x).sum(axis=1)), ("norm-2", lambda x: np.linalg.norm(x, axis=1)),
+           ("norm-inf", lambda x: np.abs(x).max(axis=1))]
     rng = as_rng(seed)
     for i in range(n_polytopes):
         verts = rng.standard_normal((d + 3, d))
-        fns.append((
-            f"sym-polytope-{i}",
-            lambda x, v=verts: (x @ v.T).max(axis=1) + (-(x @ v.T)).max(axis=1),
-        ))
+        # h_P(x) + h_P(-x) = max_v <x, v> - min_v <x, v>
+        fns.append((f"sym-polytope-{i}", lambda x, v=verts: np.ptp(x @ v.T, axis=1)))
     return fns
 
 
 def _spot_check_even_homogeneous(name: str, fn, d: int, rng) -> None:
     x = rng.standard_normal((16, d))
     base = fn(x)
-    for c in (0.5, 2.0, 7.0):
-        scaled = fn(c * x)
-        if np.abs(scaled - c * base).max() > 1e-9 * max(1.0, np.abs(base).max()):
-            raise ValueError(f"functional {name!r} failed the homogeneity spot-check")
-    if np.abs(fn(-x) - base).max() > 1e-9 * max(1.0, np.abs(base).max()):
-        raise ValueError(f"functional {name!r} failed the evenness spot-check")
+    tol = 1e-9 * max(1.0, np.abs(base).max())
+    for check, ok in (("nonnegativity", np.all(base >= 0.0)),  # split a signed f into max(f, 0) and max(-f, 0)
+                      ("homogeneity", all(np.abs(fn(c * x) - c * base).max() <= tol for c in (0.5, 2.0, 7.0))),
+                      ("evenness", np.abs(fn(-x) - base).max() <= tol)):
+        if not ok:
+            raise ValueError(f"functional {name!r} failed the {check} spot-check")
 
 
 @dataclass(frozen=True)
@@ -568,8 +563,14 @@ def test_even_homogeneous(
 ) -> EvenHomogeneousReport:
     """Compare E f(xi) across a family of even 1-homogeneous functionals.
 
-    Zonoid-equivalent laws must agree on every such expectation; each supplied
-    functional is spot-checked for homogeneity and evenness first.
+    Zonoid-equivalent laws must agree on every such expectation.  Each f is
+    spot-checked for nonnegativity, homogeneity and evenness on rows from a
+    child stream (as are the built-in polytopes), so the samples do not depend
+    on the functionals.  The guard weighs a column's largest value against its
+    sum, hence f >= 0; no power is lost, as f = max(f, 0) - max(-f, 0) with
+    both parts even, 1-homogeneous and nonnegative.  The columns share the
+    kernel's reduction core and guard (``functional_moments``), the CRN paired
+    SE (else the SEs in quadrature) and the SE floor with ``test_zonoid_equiv``.
     """
     if law_a.dim != law_b.dim:
         raise ValueError("dimension mismatch")

@@ -17,6 +17,7 @@ from zonoids.zonoid import (
     _GUARD_MIN_ROWS,
     _guard_verdict,
     exact_support,
+    functional_moments,
     grid_support,
     mean_width_check,
     projection_moments,
@@ -75,6 +76,11 @@ def roundoff(values):
     return 1e-15 * np.abs(values).max()
 
 
+def column_functions(dirs, kind):
+    """f(<x, u>) for each direction row u, as callables for the callable front end."""
+    return [lambda x, u=u: reference_values(x, u[None], kind)[:, 0] for u in dirs]
+
+
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @settings(max_examples=40, deadline=None)
 @given(problem=problems())
@@ -83,16 +89,22 @@ def test_kernel_matches_two_pass_reference(block, problem):
     k = dirs.shape[0]
     a = rng.integers(0, k, size=5)
     b = rng.integers(0, k, size=5)
+    fns = column_functions(dirs, kind)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
         mom = projection_moments(x, dirs, kind, pairs=(a, b))
         again = projection_moments(x, dirs, kind, pairs=(a, b))
+        called = functional_moments(x, fns, pairs=(a, b))
+        unpaired = functional_moments(x, fns)
     values = reference_values(x, dirs, kind)
-    assert mom.n == x.shape[0]
-    assert_close(mom.mean, values.mean(axis=0))
-    assert_close(mom.se, reference_se(values), roundoff(values))
-    assert_close(mom.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
-    assert np.all(mom.paired_se[a == b] == 0.0)
+    for got in (mom, called, unpaired):
+        assert got.n == x.shape[0]
+        assert_close(got.mean, values.mean(axis=0))
+        assert_close(got.se, reference_se(values), roundoff(values))
+    for got in (mom, called):
+        assert_close(got.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
+        assert np.all(got.paired_se[a == b] == 0.0)
+    assert unpaired.paired_se.size == 0
     for field in ("mean", "se", "paired_se"):
         assert getattr(again, field).tobytes() == getattr(mom, field).tobytes()
 
@@ -109,10 +121,12 @@ def test_kernel_coupled_sides_and_weighted_atoms(block, problem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
         mom = projection_moments((x, y), dirs, kind, pairs=(np.arange(k), np.arange(k, 2 * k)))
+        called = functional_moments((x, y), column_functions(dirs, kind), pairs=(np.arange(k), np.arange(k, 2 * k)))
         exact = projection_moments(x, dirs, kind, weights=w, pairs=([0], [k - 1]))
     vx, vy = reference_values(x, dirs, kind), reference_values(y, dirs, kind)
-    assert_close(mom.mean, np.concatenate([vx.mean(axis=0), vy.mean(axis=0)]))
-    assert_close(mom.paired_se, reference_se(vx - vy), roundoff(np.concatenate([vx, vy])))
+    for got in (mom, called):
+        assert_close(got.mean, np.concatenate([vx.mean(axis=0), vy.mean(axis=0)]))
+        assert_close(got.paired_se, reference_se(vx - vy), roundoff(np.concatenate([vx, vy])))
     assert_close(exact.mean, w @ vx)
     assert np.all(exact.se == 0.0) and np.all(exact.paired_se == 0.0)
 
@@ -255,7 +269,9 @@ def test_kernel_guard_agrees_with_in_memory_guard(seed):
 
     direct = outcome(lambda: _integrability_guard(np.abs(x[:, 0])))
     blocked = outcome(lambda: projection_moments(x, np.array([[1.0]])))
-    assert blocked == direct
+    # the norm of a one-coordinate row is |x|, so the callable front end sees the same column
+    norms = outcome(lambda: functional_moments(x, [lambda s: np.linalg.norm(s, axis=1)]))
+    assert blocked == direct and norms == direct
 
 
 @pytest.mark.parametrize("seed", range(10))

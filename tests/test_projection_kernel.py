@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import zonoids.zonoid as zonoid_mod
 from zonoids.errors import DiagnosticError
-from zonoids.invariance import test_zonoid_equiv
+from zonoids.invariance import test_even_homogeneous, test_zonoid_equiv
 from zonoids.laws import DiscreteLaw, GaussianLaw, LognormalLaw, SamplerLaw
 from zonoids.rng import as_rng
 from zonoids.zonoid import (
@@ -287,6 +287,8 @@ def test_equiv_guard_fires_on_cauchy_pair():
     cauchy = SamplerLaw(2, lambda rng, n: rng.standard_cauchy((n, 2)))
     with pytest.raises(DiagnosticError):
         test_zonoid_equiv(cauchy, cauchy, budget=100_000, seed=5)
+    with pytest.raises(DiagnosticError):  # the even-homogeneous columns pass the same guard
+        test_even_homogeneous(cauchy, cauchy, budget=100_000, seed=5)
 
 
 # ---------------------------------------------------------------------------

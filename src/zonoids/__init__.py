@@ -26,8 +26,6 @@ from .laws import (
     dacunha_prefix_law,
     gbm_process,
     law_from_json,
-    law_to_json,
-    lift_law,
     lognormal_swap_law,
     permute_law,
     rademacher_law,
@@ -70,6 +68,6 @@ from .levy import (
     variogram,
 )
 from .lepage import LePageConfig, cf_check, simulate_lepage, stationarity_cross_check
-from .ergodic import l1_diagnostic, limit_formula_check, oracle_limit, run_averages
+from .ergodic import l1_diagnostic, limit_formula_check, run_averages
 
 __version__ = "0.1.0"

@@ -54,13 +54,12 @@ from .invariance import (
 )
 from .laws import (
     DiscreteLaw,
+    _check_fields,
     law_from_json,
-    law_to_json,
     process_from_json,
     process_to_json,
     scalar_base_from_json,
     sequence_model_from_json,
-    sequence_model_to_json,
 )
 from .zonoid import DirectionGrid, mean_width_check, support_at, zonotope_2d
 
@@ -100,8 +99,7 @@ def _build_grid(spec: str, d: int, seed) -> DirectionGrid:
     if spec.isdigit():
         return DirectionGrid.default(d, seed, int(spec))
     doc = _require_schema(_load_json(spec), spec)
-    if set(doc) - {"schema", "directions"}:
-        raise SchemaError(f"{spec}: unknown fields in grid document")
+    _check_fields(doc, {"directions"}, spec)
     return DirectionGrid(np.asarray(doc["directions"], dtype=float))
 
 
@@ -179,7 +177,7 @@ def _cmd_support(args) -> int:
         "grid_size": len(grid),
         "exact": all(e.exact for e in ests),
     }
-    _emit(args, "support", {"law": law_to_json(law)}, result,
+    _emit(args, "support", {"law": law.to_json()}, result,
           {"estimates": (report_mod.support_table_header(grid.dim), rows)})
     return 0
 
@@ -189,7 +187,7 @@ def _cmd_equiv(args) -> int:
     grid = _build_grid(args.grid, law_a.dim, args.seed)
     report = test_zonoid_equiv(law_a, law_b, grid, _check_budget(args.budget), _check_tau(args.tau),
                                args.seed, bonferroni=args.bonferroni)
-    return _emit_equiv(args, "equiv", {"law_a": law_to_json(law_a), "law_b": law_to_json(law_b)}, report)
+    return _emit_equiv(args, "equiv", {"law_a": law_a.to_json(), "law_b": law_b.to_json()}, report)
 
 
 def _cmd_swap(args) -> int:
@@ -198,7 +196,7 @@ def _cmd_swap(args) -> int:
     perms = "all" if args.perms == "all" else int(args.perms)
     report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                   bonferroni=args.bonferroni)
-    return _emit_equiv(args, "swap", {"law": law_to_json(law)}, report)
+    return _emit_equiv(args, "swap", {"law": law.to_json()}, report)
 
 
 def _cmd_lift_swap(args) -> int:
@@ -206,7 +204,7 @@ def _cmd_lift_swap(args) -> int:
     grid = _build_grid(args.grid, law.dim + 1, args.seed)
     report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                        bonferroni=args.bonferroni)
-    return _emit_equiv(args, "lift-swap", {"law": law_to_json(law)}, report)
+    return _emit_equiv(args, "lift-swap", {"law": law.to_json()}, report)
 
 
 def _cmd_stationarity(args) -> int:
@@ -254,7 +252,7 @@ def _cmd_lognormal_check(args) -> int:
         "max_log_mean_dev": rep.max_log_mean_dev,
         "max_variogram_dev": rep.max_variogram_dev,
     }
-    _emit(args, "lognormal-check", {"a": law_to_json(l1), "b": law_to_json(l2), "tol": args.tol}, result)
+    _emit(args, "lognormal-check", {"a": l1.to_json(), "b": l2.to_json(), "tol": args.tol}, result)
     return 0 if rep.verdict else 1
 
 
@@ -263,7 +261,7 @@ def _cmd_elliptical_check(args) -> int:
     rep = levy_mod.check_elliptical_equiv(e1, e2, args.tol)
     result = {"verdict": rep.verdict, "max_dev": rep.max_dev,
               "shape_a": rep.shape_a, "shape_b": rep.shape_b}
-    _emit(args, "elliptical-check", {"a": law_to_json(e1), "b": law_to_json(e2), "tol": args.tol}, result)
+    _emit(args, "elliptical-check", {"a": e1.to_json(), "b": e2.to_json(), "tol": args.tol}, result)
     return 0 if rep.verdict else 1
 
 
@@ -277,7 +275,7 @@ def _cmd_cf_check(args) -> int:
         "w": rep.w,
         "n_dirs": int(rep.us.shape[0]),
     }
-    _emit(args, "cf-check", {"a": law_to_json(l1), "b": law_to_json(l2), "tol": args.tol}, result)
+    _emit(args, "cf-check", {"a": l1.to_json(), "b": l2.to_json(), "tol": args.tol}, result)
     return 0 if rep.verdict else 1
 
 
@@ -301,7 +299,7 @@ def _cmd_lepage(args) -> int:
         "tail_start_max": float(res.tail_start.max()),
         "paths_csv": os.path.basename(csv_path),
     }
-    _emit(args, "lepage", {"driver": law_to_json(driver)}, result)
+    _emit(args, "lepage", {"driver": driver.to_json()}, result)
     return 0
 
 
@@ -323,7 +321,7 @@ def _cmd_cf_identity(args) -> int:
         "threshold": args.threshold,
         "extras": rep.extras,
     }
-    _emit(args, "cf-identity", {"driver": law_to_json(driver)}, result)
+    _emit(args, "cf-identity", {"driver": driver.to_json()}, result)
     if args.threshold is not None and rep.sup_discrepancy > args.threshold:
         return 1
     return 0
@@ -350,7 +348,7 @@ def _cmd_ergodic(args) -> int:
         diag = ergodic_mod.convergence_diagnostic(run)
         result["median_gap"] = diag.median_gap
         result["gaps_decreasing"] = diag.decreasing
-    _emit(args, "ergodic", {"model": sequence_model_to_json(model)}, result, {"runs": (header, rows)})
+    _emit(args, "ergodic", {"model": model.to_json()}, result, {"runs": (header, rows)})
     return 0
 
 
@@ -372,7 +370,7 @@ def _cmd_zonotope(args) -> int:
         raise SchemaError("zonotope needs a discrete law")
     z = zonotope_2d(law)
     result = {"n_generators": int(z.generators.shape[0]), "n_vertices": int(z.vertices.shape[0])}
-    _emit(args, "zonotope", {"law": law_to_json(law)}, result, {
+    _emit(args, "zonotope", {"law": law.to_json()}, result, {
         "vertices": (["x", "y"], [tuple(v) for v in z.vertices.tolist()]),
         "generators": (["gx", "gy"], [tuple(g) for g in z.generators.tolist()]),
     })
@@ -390,7 +388,7 @@ def _cmd_mean_width(args) -> int:
         "nodes": rep.nodes,
         "tol": args.tol,
     }
-    _emit(args, "mean-width", {"law": law_to_json(law)}, result)
+    _emit(args, "mean-width", {"law": law.to_json()}, result)
     if args.tol is not None and rep.abs_difference > args.tol:
         return 1
     return 0

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoOracleError
-from .laws import (
-    DacunhaCastelleModel,
-    IidExchangeableModel,
-    LognormalSwapModel,
-    law_mean,
-    sequence_prefix,
-)
+from .laws import DacunhaCastelleModel, LognormalSwapModel, sequence_prefix
 from .rng import run_chunked, spawn_rngs
 
 DEFAULT_CHECKPOINTS = (100, 1_000, 10_000, 100_000)
@@ -33,26 +27,6 @@ class ErgodicRun:
     averages: np.ndarray          # (paths, len(checkpoints))
     oracles: np.ndarray | None    # (paths,), None when the model has no closed form
     aux: tuple                    # per-path auxiliary state dicts
-
-
-def has_oracle(model) -> bool:
-    if isinstance(model, (DacunhaCastelleModel, LognormalSwapModel)):
-        return True
-    return isinstance(model, IidExchangeableModel) and law_mean(model.base) is not None
-
-
-def oracle_limit(model, aux: dict) -> float:
-    """Closed-form almost-sure limit of the running average for one path."""
-    if isinstance(model, DacunhaCastelleModel):
-        return 0.0
-    if isinstance(model, LognormalSwapModel):
-        return math.exp(aux["coupling"] - 0.5 * model.coupling_mass)
-    if isinstance(model, IidExchangeableModel):
-        mean = law_mean(model.base)
-        if mean is None:
-            raise NoOracleError("iid base law has no closed-form mean")
-        return float(mean[0])
-    raise NoOracleError(f"no closed-form limit for {type(model).__name__}")
 
 
 def _checkpoint_averages(path: np.ndarray, checkpoints) -> np.ndarray:
@@ -89,9 +63,10 @@ def run_averages(model, checkpoints=DEFAULT_CHECKPOINTS, paths: int = 50, seed=0
 
     run_chunked(run, paths, workers)
 
-    oracles = None
-    if has_oracle(model):
-        oracles = np.array([oracle_limit(model, a) for a in aux_states])
+    try:
+        oracles = np.array([model.oracle(a) for a in aux_states])
+    except NoOracleError:
+        oracles = None
     return ErgodicRun(model, checkpoints, averages, oracles, tuple(aux_states))
 
 

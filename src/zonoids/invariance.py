@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .laws import DiscreteLaw, lift_law, measures_close, merge_atoms, permute_law, require_positive
+from .laws import DiscreteLaw, measures_close, merge_atoms, permute_law, require_positive
 from .rng import as_rng, spawn_rngs
 from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, exact_support,
                      functional_moments, is_exact_law, projection_moments)
@@ -328,7 +328,7 @@ def test_lift_swap_invariance(
     bonferroni: bool = False,
 ) -> EquivalenceReport:
     """Swap-invariance of the lifted vector (1, xi); the grid lives in R^{d+1}."""
-    lifted = lift_law(law)
+    lifted = law.lift()
     if grid is None:
         grid = DirectionGrid.default(lifted.dim)
     return test_swap_invariance(lifted, permutations, grid, budget, tau, seed, bonferroni=bonferroni)

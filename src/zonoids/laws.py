@@ -4,7 +4,9 @@ Every law is an immutable value object with a ``dim`` property and a
 ``sample(n, rng)`` method returning an ``(n, dim)`` array.  Laws driven by a
 standard source (normal or uniform) additionally expose ``driver_kind`` and
 ``sample_with_driver`` so that two laws of the same family can be compared
-under common random numbers.
+under common random numbers.  Each family carries its own ``is_positive``,
+``permute``, ``transform``, ``lift`` and ``to_json``; sequence models carry
+``prefix``, ``oracle`` and ``to_json``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NoOracleError, SchemaError
 from .rng import as_rng
 
 WEIGHT_TOL = 1e-12
@@ -51,6 +53,34 @@ def symmetrized_psd_factor(cov: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # vector laws
 # ---------------------------------------------------------------------------
+
+def _pathwise(law, dim: int, fn, name: str, **declared):
+    """Law of fn(xi) for xi ~ ``law``, drawn by applying ``fn`` to base samples."""
+    return SamplerLaw(dim, lambda rng, n: fn(law.sample(n, rng)), name=name, **declared)
+
+
+class _PathwiseDefaults:
+    """Family methods of a law without closed forms: positivity unknown, lift
+    and linear images drawn pathwise, no JSON document.  Families override
+    what they have in closed form."""
+
+    def is_positive(self) -> bool | None:
+        """True/False where decidable exactly, else None."""
+        return None
+
+    def transform(self, m):
+        """Law of M xi for a deterministic matrix M."""
+        m = np.asarray(m, dtype=float)
+        return _pathwise(self, m.shape[0], lambda x: x @ m.T, "transformed")
+
+    def lift(self):
+        """Law of the lifted vector (1, xi) in one more dimension."""
+        return _pathwise(self, self.dim + 1, lambda x: np.hstack([np.ones((x.shape[0], 1)), x]), "lifted",
+                         positive=self.is_positive())
+
+    def to_json(self) -> dict:
+        raise SchemaError(f"law of type {type(self).__name__} is not serializable")
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteLaw:
@@ -100,9 +130,21 @@ class DiscreteLaw:
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
 
-    def is_positive(self, tol: float = 0.0) -> bool:
+    def is_positive(self) -> bool:
         live = self.weights > 1e-15
-        return bool(np.all(self.atoms[live] > tol))
+        return bool(np.all(self.atoms[live] > 0.0))
+
+    def permute(self, perm):
+        return DiscreteLaw(self.atoms[:, perm], self.weights)
+
+    def transform(self, m):
+        return DiscreteLaw(self.atoms @ np.asarray(m, dtype=float).T, self.weights)
+
+    def lift(self):
+        return DiscreteLaw(np.hstack([np.ones((self.atoms.shape[0], 1)), self.atoms]), self.weights)
+
+    def to_json(self) -> dict:
+        return {"schema": 1, "type": "discrete", "atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
     def __eq__(self, other):
         return (
@@ -148,6 +190,30 @@ class GaussianLaw:
     def mean(self) -> np.ndarray:
         return self.mean_vec
 
+    def is_positive(self) -> bool:
+        # positive only when degenerate at a positive point
+        return bool(np.all(self.mean_vec > 0)) if np.abs(self.cov).max() == 0.0 else False
+
+    def permute(self, perm):
+        return GaussianLaw(self.mean_vec[perm], self.cov[np.ix_(perm, perm)])
+
+    def transform(self, m):
+        m = np.asarray(m, dtype=float)
+        return GaussianLaw(m @ self.mean_vec, m @ self.cov @ m.T)
+
+    def lift(self):
+        return self._prepend(1.0)
+
+    def _prepend(self, value: float):
+        """Law of (value, xi): a constant coordinate in front."""
+        d = self.dim
+        cov = np.zeros((d + 1, d + 1))
+        cov[1:, 1:] = self.cov
+        return GaussianLaw(np.concatenate([[value], self.mean_vec]), cov)
+
+    def to_json(self) -> dict:
+        return {"schema": 1, "type": "gaussian", "mean": self.mean_vec.tolist(), "cov": self.cov.tolist()}
+
     def __eq__(self, other):
         return (
             isinstance(other, GaussianLaw)
@@ -157,7 +223,7 @@ class GaussianLaw:
 
 
 @dataclass(frozen=True, eq=False)
-class LognormalLaw:
+class LognormalLaw(_PathwiseDefaults):
     """Componentwise exponential of a Gaussian vector; strictly positive."""
 
     gaussian: GaussianLaw
@@ -178,15 +244,25 @@ class LognormalLaw:
         g = self.gaussian
         return np.exp(g.mean_vec + 0.5 * np.diag(g.cov))
 
-    def is_positive(self, tol: float = 0.0) -> bool:
+    def is_positive(self) -> bool:
         return True
+
+    def permute(self, perm):
+        return LognormalLaw(self.gaussian.permute(perm))
+
+    def lift(self):
+        # exp of (0, log xi) is (1, xi)
+        return LognormalLaw(self.gaussian._prepend(0.0))
+
+    def to_json(self) -> dict:
+        return {**self.gaussian.to_json(), "type": "lognormal"}
 
     def __eq__(self, other):
         return isinstance(other, LognormalLaw) and self.gaussian == other.gaussian
 
 
 @dataclass(frozen=True, eq=False)
-class EllipticalLaw:
+class EllipticalLaw(_PathwiseDefaults):
     """Scale mixture R * (A U) with U uniform on the unit sphere, R > 0.
 
     ``radial_mean`` is E R and must be finite and positive.  ``radial_spec``
@@ -224,6 +300,14 @@ class EllipticalLaw:
 
     def mean(self) -> np.ndarray:
         return np.zeros(self.dim)
+
+    def permute(self, perm):
+        return EllipticalLaw(self.radial_mean, self.radial_sampler, self.matrix[perm, :], self.radial_spec)
+
+    def to_json(self) -> dict:
+        if self.radial_spec is None:
+            raise SchemaError("elliptical law with a bare radial callable is not serializable")
+        return {"schema": 1, "type": "elliptical", "radial": dict(self.radial_spec), "matrix": self.matrix.tolist()}
 
     def __eq__(self, other):
         return (
@@ -267,7 +351,7 @@ class ScalarBase:
 
 
 @dataclass(frozen=True, eq=False)
-class LocationScaleLaw:
+class LocationScaleLaw(_PathwiseDefaults):
     """Scalar law location + scale * X for a centred base X."""
 
     base: ScalarBase
@@ -291,6 +375,12 @@ class LocationScaleLaw:
     def mean(self) -> np.ndarray:
         return np.array([self.location])
 
+    def to_json(self) -> dict:
+        if self.base.spec is None:
+            raise SchemaError("location-scale law with a bare base callable is not serializable")
+        return {"schema": 1, "type": "location-scale", "base": dict(self.base.spec),
+                "location": self.location, "scale": self.scale}
+
     def __eq__(self, other):
         return (
             isinstance(other, LocationScaleLaw)
@@ -301,7 +391,7 @@ class LocationScaleLaw:
 
 
 @dataclass(frozen=True, eq=False)
-class SamplerLaw:
+class SamplerLaw(_PathwiseDefaults):
     """Law known only through a sampling callable.
 
     ``symmetric``/``positive``/``mean_vec`` are optional declarations used by
@@ -328,8 +418,12 @@ class SamplerLaw:
     def mean(self):
         return self.mean_vec
 
+    def is_positive(self) -> bool | None:
+        return self.positive
 
-LawModel = (DiscreteLaw, GaussianLaw, LognormalLaw, EllipticalLaw, LocationScaleLaw, SamplerLaw)
+    def permute(self, perm):
+        return _pathwise(self, self.dim, lambda x: x[:, perm], f"{self.name}[permuted]", symmetric=self.symmetric,
+                         positive=self.positive, mean_vec=None if self.mean_vec is None else self.mean_vec[perm])
 
 
 def sample(law, n: int, seed) -> np.ndarray:
@@ -345,22 +439,10 @@ def law_mean(law) -> np.ndarray | None:
     return None if m is None else np.asarray(m, dtype=float)
 
 
-def law_is_positive(law) -> bool | None:
-    """Exact positivity where decidable: True/False, or None when unknown."""
-    if isinstance(law, (DiscreteLaw, LognormalLaw)):
-        return law.is_positive()
-    if isinstance(law, GaussianLaw):
-        # positive only when degenerate at a positive point
-        return bool(np.all(law.mean_vec > 0)) if np.abs(law.cov).max() == 0.0 else False
-    if isinstance(law, SamplerLaw):
-        return law.positive
-    return None
-
-
 def require_positive(law, pilot: int, rng, what: str) -> None:
     """Raise unless ``law`` is positive: decided exactly where possible, else by
     the minimum of a pilot sample of ``pilot`` rows drawn from ``rng``."""
-    known = law_is_positive(law)
+    known = law.is_positive()
     if known is None:
         known = bool(law.sample(pilot, rng).min() > 0.0)
     if not known:
@@ -404,79 +486,16 @@ def permute_law(law, perm):
     d = law.dim
     if sorted(perm.tolist()) != list(range(d)):
         raise ValueError(f"invalid permutation of {d} coordinates: {perm.tolist()}")
-    if isinstance(law, DiscreteLaw):
-        return DiscreteLaw(law.atoms[:, perm], law.weights)
-    if isinstance(law, GaussianLaw):
-        return GaussianLaw(law.mean_vec[perm], law.cov[np.ix_(perm, perm)])
-    if isinstance(law, LognormalLaw):
-        return LognormalLaw(permute_law(law.gaussian, perm))
-    if isinstance(law, EllipticalLaw):
-        return EllipticalLaw(law.radial_mean, law.radial_sampler, law.matrix[perm, :], law.radial_spec)
-    if isinstance(law, SamplerLaw):
-        base = law
-        return SamplerLaw(
-            base.dim,
-            lambda rng, n: base.sample(n, rng)[:, perm],
-            name=f"{base.name}[permuted]",
-            symmetric=base.symmetric,
-            positive=base.positive,
-            mean_vec=None if base.mean_vec is None else base.mean_vec[perm],
-        )
-    raise TypeError(f"cannot permute law of type {type(law).__name__}")
-
-
-def transform_law(law, matrix):
-    """Law of M xi for a deterministic matrix M."""
-    m = np.asarray(matrix, dtype=float)
-    if isinstance(law, DiscreteLaw):
-        return DiscreteLaw(law.atoms @ m.T, law.weights)
-    if isinstance(law, GaussianLaw):
-        return GaussianLaw(m @ law.mean_vec, m @ law.cov @ m.T)
-    base = law
-    return SamplerLaw(m.shape[0], lambda rng, n: base.sample(n, rng) @ m.T, name="transformed")
-
-
-def lift_law(law):
-    """Law of the lifted vector (1, xi) in one more dimension."""
-    if isinstance(law, DiscreteLaw):
-        ones = np.ones((law.atoms.shape[0], 1))
-        return DiscreteLaw(np.hstack([ones, law.atoms]), law.weights)
-    if isinstance(law, GaussianLaw):
-        d = law.dim
-        mean = np.concatenate([[1.0], law.mean_vec])
-        cov = np.zeros((d + 1, d + 1))
-        cov[1:, 1:] = law.cov
-        return GaussianLaw(mean, cov)
-    if isinstance(law, LognormalLaw):
-        g = law.gaussian
-        d = g.dim
-        mean = np.concatenate([[0.0], g.mean_vec])
-        cov = np.zeros((d + 1, d + 1))
-        cov[1:, 1:] = g.cov
-        return LognormalLaw(GaussianLaw(mean, cov))
-    base = law
-    return SamplerLaw(
-        base.dim + 1,
-        lambda rng, n: np.hstack([np.ones((n, 1)), base.sample(n, rng)]),
-        name="lifted",
-        positive=law_is_positive(base),
-        mean_vec=None,
-    )
+    return law.permute(perm)
 
 
 def scale_law(law, c: float):
     """Law of c * xi, sampled pathwise as c times the base samples."""
     if c <= 0:
         raise ValueError("c must be > 0")
-    base = law
-    return SamplerLaw(
-        base.dim,
-        lambda rng, n: c * base.sample(n, rng),
-        name="scaled",
-        symmetric=getattr(base, "symmetric", None),
-        positive=law_is_positive(base),
-        mean_vec=None if law_mean(base) is None else c * law_mean(base),
-    )
+    mean = law_mean(law)
+    return _pathwise(law, law.dim, lambda x: c * x, "scaled", symmetric=getattr(law, "symmetric", None),
+                     positive=law.is_positive(), mean_vec=None if mean is None else c * mean)
 
 
 def rademacher_law() -> DiscreteLaw:
@@ -494,6 +513,27 @@ class DacunhaCastelleModel:
 
     At most one entry of any path is nonzero; every entry has unit mean.
     """
+
+    def prefix(self, n: int, rng, omega: float | None = None):
+        if omega is None:
+            omega = 1.0 - rng.random()  # uniform on (0, 1]
+        if not 0.0 < omega <= 1.0:
+            raise ValueError("omega must lie in (0, 1]")
+        k = int(math.floor(1.0 / omega))
+        while omega > 1.0 / k:
+            k -= 1
+        while omega <= 1.0 / (k + 1):
+            k += 1
+        path = np.zeros(n)
+        if k <= n:
+            path[k - 1] = k * (k + 1)
+        return path, {"omega": omega, "k": k}
+
+    def oracle(self, aux: dict) -> float:
+        return 0.0
+
+    def to_json(self) -> dict:
+        return {"schema": 1, "type": "dacunha-castelle"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,6 +563,21 @@ class LognormalSwapModel:
         b_i = self.b[i - 1] if i <= self.b.shape[0] else 0.0
         return -0.5 * (1.0 + self.coupling_mass + 2.0 * b_i)
 
+    def prefix(self, n: int, rng):
+        b = self.b
+        kk = b.shape[0]
+        z = rng.standard_normal(max(n, kk))
+        coupling = float(b @ z[:kk])
+        mus = np.array([self.mu(i) for i in range(1, n + 1)])
+        path = np.exp(z[:n] + coupling + mus)
+        return path, {"z": z[:kk].copy(), "coupling": coupling}
+
+    def oracle(self, aux: dict) -> float:
+        return math.exp(aux["coupling"] - 0.5 * self.coupling_mass)
+
+    def to_json(self) -> dict:
+        return {"schema": 1, "type": "lognormal-swap", "b": self.b.tolist()}
+
     def __eq__(self, other):
         return isinstance(other, LognormalSwapModel) and np.array_equal(self.b, other.b)
 
@@ -537,6 +592,18 @@ class IidExchangeableModel:
         if self.base.dim != 1:
             raise ValueError("iid-exchangeable base must be a scalar law")
 
+    def prefix(self, n: int, rng):
+        return self.base.sample(n, rng).ravel(), {}
+
+    def oracle(self, aux: dict) -> float:
+        mean = law_mean(self.base)
+        if mean is None:
+            raise NoOracleError("iid base law has no closed-form mean")
+        return float(mean[0])
+
+    def to_json(self) -> dict:
+        return {"schema": 1, "type": "iid-exchangeable", "base": self.base.to_json()}
+
     def __eq__(self, other):
         return isinstance(other, IidExchangeableModel) and self.base == other.base
 
@@ -546,39 +613,12 @@ def sequence_prefix(model, n: int, seed, *, omega: float | None = None):
 
     For the sparse model the auxiliary state carries omega and the active
     index; for the lognormal coupling model it carries the shared normal
-    drivers, so closed-form limits can be computed from it exactly.
+    drivers, so closed-form limits (``model.oracle(aux)``) are computed from
+    it exactly.  ``omega`` fixes the sparse model's event.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_rng(seed)
-    if isinstance(model, DacunhaCastelleModel):
-        if omega is None:
-            omega = 1.0 - rng.random()  # uniform on (0, 1]
-        if not 0.0 < omega <= 1.0:
-            raise ValueError("omega must lie in (0, 1]")
-        k = int(math.floor(1.0 / omega))
-        while omega > 1.0 / k:
-            k -= 1
-        while omega <= 1.0 / (k + 1):
-            k += 1
-        path = np.zeros(n)
-        if k <= n:
-            path[k - 1] = k * (k + 1)
-        return path, {"omega": omega, "k": k}
-    if omega is not None:
-        raise ValueError("omega injection is only supported for the Dacunha-Castelle model")
-    if isinstance(model, LognormalSwapModel):
-        b = model.b
-        kk = b.shape[0]
-        z = rng.standard_normal(max(n, kk))
-        coupling = float(b @ z[:kk])
-        mus = np.array([model.mu(i) for i in range(1, n + 1)])
-        path = np.exp(z[:n] + coupling + mus)
-        return path, {"z": z[:kk].copy(), "coupling": coupling}
-    if isinstance(model, IidExchangeableModel):
-        path = model.base.sample(n, rng).ravel()
-        return path, {}
-    raise TypeError(f"unknown sequence model {type(model).__name__}")
+    return model.prefix(n, as_rng(seed), **({} if omega is None else {"omega": omega}))
 
 
 def dacunha_prefix_law(n: int) -> DiscreteLaw:
@@ -711,11 +751,15 @@ def _radial_from_spec(spec: dict):
     if kind == "chi":
         _check_fields(spec, {"kind", "dof"}, "radial")
         dof = int(spec["dof"])
+        if dof < 1:
+            raise SchemaError("radial chi needs dof >= 1")
         mean = math.sqrt(2.0) * math.gamma((dof + 1) / 2) / math.gamma(dof / 2)
         return mean, lambda rng, n: np.sqrt(rng.chisquare(dof, n))
     if kind == "exponential":
         _check_fields(spec, {"kind", "rate"}, "radial")
         rate = float(spec["rate"])
+        if rate <= 0:
+            raise SchemaError("radial exponential rate must be > 0")
         return 1.0 / rate, lambda rng, n: rng.exponential(1.0 / rate, n)
     if kind == "uniform":
         _check_fields(spec, {"kind", "low", "high"}, "radial")
@@ -776,31 +820,6 @@ def law_from_json(doc: dict):
     raise SchemaError(f"unknown law type {t!r}")
 
 
-def law_to_json(law) -> dict:
-    if isinstance(law, DiscreteLaw):
-        return {"schema": 1, "type": "discrete", "atoms": law.atoms.tolist(), "weights": law.weights.tolist()}
-    if isinstance(law, GaussianLaw):
-        return {"schema": 1, "type": "gaussian", "mean": law.mean_vec.tolist(), "cov": law.cov.tolist()}
-    if isinstance(law, LognormalLaw):
-        g = law.gaussian
-        return {"schema": 1, "type": "lognormal", "mean": g.mean_vec.tolist(), "cov": g.cov.tolist()}
-    if isinstance(law, EllipticalLaw):
-        if law.radial_spec is None:
-            raise SchemaError("elliptical law with a bare radial callable is not serializable")
-        return {"schema": 1, "type": "elliptical", "radial": dict(law.radial_spec), "matrix": law.matrix.tolist()}
-    if isinstance(law, LocationScaleLaw):
-        if law.base.spec is None:
-            raise SchemaError("location-scale law with a bare base callable is not serializable")
-        return {
-            "schema": 1,
-            "type": "location-scale",
-            "base": dict(law.base.spec),
-            "location": law.location,
-            "scale": law.scale,
-        }
-    raise SchemaError(f"law of type {type(law).__name__} is not serializable")
-
-
 def sequence_model_from_json(doc: dict):
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError("sequence model document must be an object with a 'type' field")
@@ -815,16 +834,6 @@ def sequence_model_from_json(doc: dict):
         _check_fields(doc, {"type", "base"}, "iid-exchangeable model")
         return IidExchangeableModel(law_from_json(doc["base"]))
     raise SchemaError(f"unknown sequence model type {t!r}")
-
-
-def sequence_model_to_json(model) -> dict:
-    if isinstance(model, DacunhaCastelleModel):
-        return {"schema": 1, "type": "dacunha-castelle"}
-    if isinstance(model, LognormalSwapModel):
-        return {"schema": 1, "type": "lognormal-swap", "b": model.b.tolist()}
-    if isinstance(model, IidExchangeableModel):
-        return {"schema": 1, "type": "iid-exchangeable", "base": law_to_json(model.base)}
-    raise SchemaError(f"sequence model of type {type(model).__name__} is not serializable")
 
 
 def process_from_json(doc: dict):

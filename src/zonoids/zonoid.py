@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError
-from .laws import DiscreteLaw, GaussianLaw, law_is_positive, lift_law
+from .laws import DiscreteLaw, GaussianLaw
 from .rng import as_rng
 
 DEFAULT_BUDGET = 100_000
@@ -488,7 +488,7 @@ def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUD
 
     ``kind`` is a kernel functional or ``"lift"``: the lift-zonoid support
     h(k, u) = E(k + <u, xi>)_+ is the non-centred support of (1, xi) at (k, u),
-    so its rows are (k, u) in R^{d+1}.  Exact laws are lifted by ``lift_law``; a
+    so its rows are (k, u) in R^{d+1}.  Exact laws are lifted by ``law.lift()``; a
     sample of xi gets a column of ones in front.
     """
     dirs = np.asarray(directions, dtype=float)
@@ -498,9 +498,9 @@ def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUD
     if kind not in _FUNCTIONALS:
         raise ValueError(f"unknown support kind {kind!r}")
     if is_exact_law(law):
-        values = exact_support(lift_law(law) if lift else law, dirs, kind)
+        values = exact_support(law.lift() if lift else law, dirs, kind)
         return [SupportEstimate(float(h), 0.0, 0, True) for h in values]
-    if kind == "max" and law_is_positive(law) is False:
+    if kind == "max" and law.is_positive() is False:
         raise ValueError("max-zonoid support requires a positive law")
     if samples is None:
         samples = _sample_for(law, budget, seed)

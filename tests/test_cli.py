@@ -67,12 +67,33 @@ def test_report_embeds_round_trippable_law(lognormal_pair, tmp_path):
     assert doc["manifest"]["seed"] == 3
 
 
+GAUSS_2D = {"schema": 1, "type": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def _elliptical(radial: dict) -> dict:
+    return {"schema": 1, "type": "elliptical", "radial": radial, "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+BAD_INPUTS = {
+    "unknown-law-field": ({"schema": 1, "type": "gaussian", "mean": [0.0], "cov": [[1.0]], "extra": True}, None),
+    "radial-rate-zero": (_elliptical({"kind": "exponential", "rate": 0}), None),
+    "radial-rate-negative": (_elliptical({"kind": "exponential", "rate": -1.0}), None),
+    "radial-chi-dof-zero": (_elliptical({"kind": "chi", "dof": 0}), None),
+    "grid-without-directions": (GAUSS_2D, {"schema": 1}),
+    "grid-unknown-field": (GAUSS_2D, {"schema": 1, "directions": [[1.0, 0.0]], "extra": True}),
+}
+
+
 def test_unknown_fields_rejected(tmp_path):
-    law = tmp_path / "law.json"
-    law.write_text(json.dumps({"schema": 1, "type": "gaussian", "mean": [0.0],
-                               "cov": [[1.0]], "extra": True}))
-    out = tmp_path / "rep.json"
-    assert run(["support", "--law", law, "--out", out]) == 2
+    # unknown, missing or out-of-range fields are schema errors: exit 2, no traceback
+    law, grid = tmp_path / "law.json", tmp_path / "grid.json"
+    for case, (law_doc, grid_doc) in BAD_INPUTS.items():
+        law.write_text(json.dumps(law_doc))
+        argv = ["support", "--law", law, "--out", tmp_path / "rep.json"]
+        if grid_doc is not None:
+            grid.write_text(json.dumps(grid_doc))
+            argv += ["--grid", grid]
+        assert run(argv) == 2, case
 
 
 def test_missing_schema_rejected(tmp_path):
@@ -126,9 +147,9 @@ def test_support_mc_requires_seed(tmp_path):
 
 def test_swap_exact_mode(tmp_path):
     law = tmp_path / "dac4.json"
-    from zonoids.laws import dacunha_prefix_law, law_to_json
+    from zonoids.laws import dacunha_prefix_law
 
-    law.write_text(json.dumps(law_to_json(dacunha_prefix_law(4))))
+    law.write_text(json.dumps(dacunha_prefix_law(4).to_json()))
     out = tmp_path / "rep.json"
     assert run(["swap", "--law", law, "--perms", "all", "--seed", "1", "--out", out]) == 0
     doc = load(out)

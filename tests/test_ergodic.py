@@ -9,7 +9,6 @@ from zonoids.ergodic import (
     l1_diagnostic,
     limit_formula_check,
     model_average_moments,
-    oracle_limit,
     run_averages,
 )
 from zonoids.laws import (
@@ -48,12 +47,12 @@ def test_iid_strong_law():
 
 
 def test_oracle_values():
-    assert oracle_limit(DacunhaCastelleModel(), {"k": 3}) == 0.0
+    assert DacunhaCastelleModel().oracle({"k": 3}) == 0.0
     model = LognormalSwapModel([0.5])
-    assert oracle_limit(model, {"coupling": 0.0}) == pytest.approx(math.exp(-0.125))
-    assert oracle_limit(model, {"coupling": 0.5}) == pytest.approx(math.exp(0.375))
+    assert model.oracle({"coupling": 0.0}) == pytest.approx(math.exp(-0.125))
+    assert model.oracle({"coupling": 0.5}) == pytest.approx(math.exp(0.375))
     iid = IidExchangeableModel(DiscreteLaw([[1.0], [3.0]], [0.5, 0.5]))
-    assert oracle_limit(iid, {}) == 2.0
+    assert iid.oracle({}) == 2.0
 
 
 def test_lognormal_swap_average_approaches_oracle():

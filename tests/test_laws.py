@@ -8,19 +8,22 @@ from zonoids.errors import SchemaError
 from zonoids.laws import (
     DacunhaCastelleModel,
     DiscreteLaw,
+    EllipticalLaw,
     GaussianLaw,
     IidExchangeableModel,
+    LocationScaleLaw,
     LognormalLaw,
     LognormalSwapModel,
+    SamplerLaw,
+    ScalarBase,
+    SupportFlags,
     dacunha_prefix_law,
     law_from_json,
-    law_to_json,
     lognormal_swap_law,
     permute_law,
     rademacher_law,
     sample,
     sequence_model_from_json,
-    sequence_model_to_json,
     sequence_prefix,
 )
 from zonoids.rng import as_rng, spawn_rngs
@@ -167,6 +170,19 @@ def test_permute_law_families():
     assert pg.cov[0, 0] == 2.0
     ln = LognormalLaw(g)
     assert permute_law(ln, perm).gaussian == pg
+    # elliptical: the rows of A are permuted, the radial part carries over
+    e = law_from_json(JSON_DOCS[3] | {"matrix": [[1.0, 2.0], [3.0, 4.0]]})
+    pe = permute_law(e, perm)
+    assert pe.matrix.tolist() == [[3.0, 4.0], [1.0, 2.0]]
+    assert (pe.radial_mean, pe.radial_spec) == (e.radial_mean, e.radial_spec)
+    assert np.allclose(pe.sample(64, 3), e.sample(64, 3)[:, perm], rtol=1e-14, atol=0.0)
+    # sampled: base samples with columns permuted, declarations carried over, mean permuted
+    s = SamplerLaw(3, lambda rng, n: rng.exponential(1.0, (n, 3)) + [1.0, 2.0, 3.0], name="shifted",
+                   symmetric=False, positive=True, mean_vec=np.array([2.0, 3.0, 4.0]))
+    ps = permute_law(s, [2, 0, 1])
+    assert np.array_equal(ps.sample(16, 5), s.sample(16, 5)[:, [2, 0, 1]])
+    assert (ps.dim, ps.name, ps.symmetric, ps.positive) == (3, "shifted[permuted]", False, True)
+    assert ps.mean_vec.tolist() == [4.0, 2.0, 3.0]
 
 
 JSON_DOCS = [
@@ -182,10 +198,45 @@ JSON_DOCS = [
 @pytest.mark.parametrize("doc", JSON_DOCS, ids=[d["type"] for d in JSON_DOCS])
 def test_law_json_round_trip(doc):
     law = law_from_json(doc)
-    again = law_from_json(law_to_json(law))
+    again = law_from_json(law.to_json())
     assert again == law
     out = sample(law, 16, seed=0)
     assert out.shape == (16, law.dim)
+
+
+BARE_BASE = ScalarBase(lambda rng, n: rng.standard_normal(n), SupportFlags(False, False))
+
+
+@pytest.mark.parametrize("law", [
+    SamplerLaw(1, lambda rng, n: rng.standard_normal(n)),
+    EllipticalLaw(1.0, lambda rng, n: np.ones(n), np.eye(2)),
+    LocationScaleLaw(BARE_BASE, 0.0, 1.0),
+], ids=["sampler", "elliptical-callable", "location-scale-callable"])
+def test_law_to_json_needs_a_spec(law):
+    with pytest.raises(SchemaError):
+        law.to_json()
+
+
+POSITIVITY = [
+    (DiscreteLaw([[1.0, 2.0], [-1.0, 3.0]], [1.0, 0.0]), True),  # the negative atom has no mass
+    (DiscreteLaw([[1.0], [-1.0]], [0.5, 0.5]), False),
+    (GaussianLaw([1.0, 2.0], np.zeros((2, 2))), True),
+    (GaussianLaw([1.0, 0.0], np.zeros((2, 2))), False),
+    (GaussianLaw([1.0, 2.0], np.eye(2)), False),
+    (LognormalLaw(GaussianLaw([-5.0], [[4.0]])), True),
+    (SamplerLaw(1, lambda rng, n: rng.random(n), positive=True), True),
+    (SamplerLaw(1, lambda rng, n: rng.random(n), positive=False), False),
+    (SamplerLaw(1, lambda rng, n: rng.random(n)), None),
+    (law_from_json(JSON_DOCS[3]), None),
+    # supported on [3, 7], yet no closed form decides it
+    (law_from_json(JSON_DOCS[4] | {"base": {"kind": "uniform", "halfwidth": 1.0}, "location": 5.0}), None),
+]
+
+
+@pytest.mark.parametrize("law,expected", POSITIVITY,
+                         ids=[f"{type(law).__name__}-{i}" for i, (law, _) in enumerate(POSITIVITY)])
+def test_is_positive(law, expected):
+    assert law.is_positive() is expected
 
 
 def test_law_json_rejects_unknown_fields():
@@ -205,7 +256,7 @@ def test_sequence_model_json_round_trip():
          "base": {"type": "gaussian", "mean": [1.0], "cov": [[1.0]]}},
     ):
         model = sequence_model_from_json(doc)
-        assert sequence_model_from_json(sequence_model_to_json(model)) == model
+        assert sequence_model_from_json(model.to_json()) == model
 
 
 def test_rademacher_is_symmetric_unit():

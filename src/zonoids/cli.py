@@ -53,7 +53,6 @@ from .invariance import (
     test_zonoid_stationarity,
 )
 from .laws import (
-    DiscreteLaw,
     _check_fields,
     law_from_json,
     process_from_json,
@@ -366,8 +365,6 @@ def _cmd_locscale_recover(args) -> int:
 
 def _cmd_zonotope(args) -> int:
     law = _load_law(args.law)
-    if not isinstance(law, DiscreteLaw):
-        raise SchemaError("zonotope needs a discrete law")
     z = zonotope_2d(law)
     result = {"n_generators": int(z.generators.shape[0]), "n_vertices": int(z.vertices.shape[0])}
     _emit(args, "zonotope", {"law": law.to_json()}, result, {

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .laws import DiscreteLaw, measures_close, merge_atoms, permute_law, require_positive
 from .rng import as_rng, spawn_rngs
-from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, exact_support,
-                     functional_moments, is_exact_law, projection_moments)
+from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, functional_moments,
+                     is_exact_law, projection_moments)
 
 # A statistical score divides each delta by max(pooled SE, SE_FLOOR * max(|h_a|, |h_b|)).
 # The floor is far above the roundoff of a blocked mean and far below the SE
@@ -171,7 +171,7 @@ def test_zonoid_equiv(
     exact_a = is_exact_law(law_a) and samples_a is None
     exact_b = is_exact_law(law_b) and samples_b is None
     if exact_a and exact_b:
-        return _build_report(grid, exact_support(law_a, dirs, kind), exact_support(law_b, dirs, kind),
+        return _build_report(grid, law_a.support(dirs, kind), law_b.support(dirs, kind),
                              np.zeros(len(grid)), "exact", tau, False, bonferroni)
 
     rng = as_rng(seed)
@@ -185,7 +185,7 @@ def test_zonoid_equiv(
 
     def reduce(side, pairs=None):  # an exact side is its law, evaluated in closed form
         if is_exact_law(side):
-            h = exact_support(side, dirs, kind)
+            h = side.support(dirs, kind)
             return ProjectionMoments(h, np.zeros(h.size), np.zeros(0), 0)
         return projection_moments(side, dirs, kind, pairs=pairs)
 
@@ -303,7 +303,7 @@ def test_swap_invariance(
     # rows [0, m) are the grid, rows [(i + 1) m, (i + 2) m) its image under pi_i^-1
     orbit = np.concatenate([dirs[None], dirs[:, inverses].transpose(1, 0, 2)]).reshape(-1, law.dim)
     if is_exact_law(law):
-        mode, h, pooled = "exact", exact_support(law, orbit), np.zeros(p * m)
+        mode, h, pooled = "exact", law.support(orbit), np.zeros(p * m)
     else:
         mode = "statistical"
         mom = projection_moments(law.sample(budget, rng), orbit,

@@ -5,8 +5,9 @@ Every law is an immutable value object with a ``dim`` property and a
 standard source (normal or uniform) additionally expose ``driver_kind`` and
 ``sample_with_driver`` so that two laws of the same family can be compared
 under common random numbers.  Each family carries its own ``is_positive``,
-``permute``, ``transform``, ``lift`` and ``to_json``; sequence models carry
-``prefix``, ``oracle`` and ``to_json``.
+``is_symmetric``, ``permute``, ``transform``, ``lift`` and ``to_json``; the
+discrete and Gaussian families also carry their closed forms, ``support`` and
+``cf``.  Sequence models carry ``prefix``, ``oracle`` and ``to_json``.
 """
 from __future__ import annotations
 
@@ -38,6 +39,18 @@ def _freeze(obj, **fields) -> None:
         object.__setattr__(obj, k, v)
 
 
+def gaussian_abs_moment(m: float, s: float) -> float:
+    """E|m + s Z| for standard normal Z (folded-normal mean)."""
+    if s == 0.0:
+        return abs(m)
+    return s * math.sqrt(2.0 / math.pi) * math.exp(-m * m / (2.0 * s * s)) + m * math.erf(
+        m / (s * math.sqrt(2.0))
+    )
+
+
+_folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
+
+
 def symmetrized_psd_factor(cov: np.ndarray) -> np.ndarray:
     """Factor L with L L^T = cov, clipping eigenvalues in [EIG_FLOOR, 0) to zero.
 
@@ -60,13 +73,20 @@ def _pathwise(law, dim: int, fn, name: str, **declared):
 
 
 class _PathwiseDefaults:
-    """Family methods of a law without closed forms: positivity unknown, lift
-    and linear images drawn pathwise, no JSON document.  Families override
-    what they have in closed form."""
+    """Family methods of a law without closed forms: positivity and symmetry
+    unknown, lift and linear images drawn pathwise, no characteristic function
+    and no JSON document.  Families override what they have in closed form."""
 
     def is_positive(self) -> bool | None:
         """True/False where decidable exactly, else None."""
         return None
+
+    def is_symmetric(self) -> bool | None:
+        """Whether -xi ~ xi: True/False where decidable exactly, else None."""
+        return None
+
+    def cf(self, z):
+        raise TypeError("closed-form characteristic functions cover Gaussian and discrete laws")
 
     def transform(self, m):
         """Law of M xi for a deterministic matrix M."""
@@ -134,6 +154,23 @@ class DiscreteLaw:
         live = self.weights > 1e-15
         return bool(np.all(self.atoms[live] > 0.0))
 
+    def is_symmetric(self) -> bool:
+        # the atom set is sign-symmetric with equal weights
+        return measures_close(self.atoms, self.weights, -self.atoms, self.weights, mass_tol=1e-12)
+
+    def support(self, directions, kind: str = "centred") -> np.ndarray:
+        """Closed-form support values, one per direction row: weighted sums over
+        the atoms, each bitwise independent of the other rows."""
+        from .zonoid import _weighted_means  # at call time: zonoid imports this module
+
+        if kind == "max" and not self.is_positive():
+            raise ValueError("max-zonoid support requires a law with positive atoms")
+        return _weighted_means(self.atoms, np.asarray(directions, dtype=float), kind, self.weights)
+
+    def cf(self, z) -> complex:
+        """Characteristic function at the complex argument z."""
+        return complex(self.weights @ np.exp(1j * (self.atoms @ np.asarray(z, dtype=complex))))
+
     def permute(self, perm):
         return DiscreteLaw(self.atoms[:, perm], self.weights)
 
@@ -194,6 +231,30 @@ class GaussianLaw:
         # positive only when degenerate at a positive point
         return bool(np.all(self.mean_vec > 0)) if np.abs(self.cov).max() == 0.0 else False
 
+    def is_symmetric(self) -> bool:
+        return bool(np.abs(self.mean_vec).max() <= 1e-12)
+
+    def support(self, directions, kind: str = "centred") -> np.ndarray:
+        """Closed-form support values, one per direction row: folded-normal
+        moments; the max kind needs a degenerate (point-mass) law."""
+        if kind == "max":
+            if np.abs(self.cov).max() != 0.0:
+                raise ValueError("max-zonoid support requires a positive law")
+            return DiscreteLaw(self.mean_vec[None, :], np.array([1.0])).support(directions, kind)
+        if kind not in ("centred", "noncentred"):
+            raise ValueError(f"unknown support kind {kind!r}")
+        dirs = np.asarray(directions, dtype=float)
+        # row-wise sums, not matrix products: each value is independent of the other rows
+        m = (dirs * self.mean_vec).sum(axis=1)
+        q = sum(dirs[:, j] * (dirs * self.cov[j]).sum(axis=1) for j in range(self.dim))
+        h = _folded_normal_mean(m, np.sqrt(np.maximum(q, 0.0))).astype(float)
+        return h if kind == "centred" else 0.5 * (h + m)
+
+    def cf(self, z) -> complex:
+        """Characteristic function at the complex argument z (analytic extension)."""
+        z = np.asarray(z, dtype=complex)
+        return complex(np.exp(1j * (self.mean_vec @ z) - 0.5 * (z @ self.cov @ z)))
+
     def permute(self, perm):
         return GaussianLaw(self.mean_vec[perm], self.cov[np.ix_(perm, perm)])
 
@@ -246,6 +307,9 @@ class LognormalLaw(_PathwiseDefaults):
 
     def is_positive(self) -> bool:
         return True
+
+    def is_symmetric(self) -> bool:
+        return False  # strictly positive
 
     def permute(self, perm):
         return LognormalLaw(self.gaussian.permute(perm))
@@ -300,6 +364,9 @@ class EllipticalLaw(_PathwiseDefaults):
 
     def mean(self) -> np.ndarray:
         return np.zeros(self.dim)
+
+    def is_symmetric(self) -> bool:
+        return True  # -U ~ U
 
     def permute(self, perm):
         return EllipticalLaw(self.radial_mean, self.radial_sampler, self.matrix[perm, :], self.radial_spec)
@@ -421,6 +488,9 @@ class SamplerLaw(_PathwiseDefaults):
     def is_positive(self) -> bool | None:
         return self.positive
 
+    def is_symmetric(self) -> bool | None:
+        return self.symmetric
+
     def permute(self, perm):
         return _pathwise(self, self.dim, lambda x: x[:, perm], f"{self.name}[permuted]", symmetric=self.symmetric,
                          positive=self.positive, mean_vec=None if self.mean_vec is None else self.mean_vec[perm])
@@ -447,6 +517,20 @@ def require_positive(law, pilot: int, rng, what: str) -> None:
         known = bool(law.sample(pilot, rng).min() > 0.0)
     if not known:
         raise ValueError(f"{what} needs a positive law")
+
+
+def require_symmetric(law, pilot: int, rng, what: str) -> None:
+    """Raise unless ``law`` is symmetric: decided exactly where possible, else
+    by a pilot sample of ``pilot`` rows drawn from ``rng``, on which sign-odd
+    functionals must have mean zero within four standard errors."""
+    known = law.is_symmetric()
+    if known is None:
+        x = law.sample(pilot, rng)
+        known = not any(abs(vals.mean()) > 4.0 * (vals.std(ddof=1) / math.sqrt(pilot)) + 1e-12
+                        for v in as_rng(1).standard_normal((3, law.dim))
+                        for vals in (x @ v, np.sign(x @ v) * np.linalg.norm(x, axis=1)))
+    if not known:
+        raise ValueError(f"{what} needs a symmetric law")
 
 
 def merge_atoms(atoms: np.ndarray, masses: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -494,7 +578,7 @@ def scale_law(law, c: float):
     if c <= 0:
         raise ValueError("c must be > 0")
     mean = law_mean(law)
-    return _pathwise(law, law.dim, lambda x: c * x, "scaled", symmetric=getattr(law, "symmetric", None),
+    return _pathwise(law, law.dim, lambda x: c * x, "scaled", symmetric=law.is_symmetric(),
                      positive=law.is_positive(), mean_vec=None if mean is None else c * mean)
 
 
@@ -750,10 +834,14 @@ def _radial_from_spec(spec: dict):
         return value, lambda rng, n: np.full(n, value)
     if kind == "chi":
         _check_fields(spec, {"kind", "dof"}, "radial")
-        dof = int(spec["dof"])
-        if dof < 1:
-            raise SchemaError("radial chi needs dof >= 1")
-        mean = math.sqrt(2.0) * math.gamma((dof + 1) / 2) / math.gamma(dof / 2)
+        dof = float(spec["dof"])
+        if not (math.isfinite(dof) and dof >= 1):
+            raise SchemaError("radial chi needs a finite dof >= 1")
+        dof = int(dof)
+        try:
+            mean = math.sqrt(2.0) * math.gamma((dof + 1) / 2) / math.gamma(dof / 2)
+        except OverflowError:  # the gammas overflow past dof 342; their ratio, about sqrt(dof / 2), does not
+            mean = math.sqrt(2.0) * math.exp(math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2))
         return mean, lambda rng, n: np.sqrt(rng.chisquare(dof, n))
     if kind == "exponential":
         _check_fields(spec, {"kind", "rate"}, "radial")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariance import test_zonoid_stationarity
-from .laws import DiscreteLaw, GaussianLaw, measures_close, require_positive
+from .laws import require_positive, require_symmetric
 from .rng import as_rng, run_chunked, spawn_rngs
 from .zonoid import DEFAULT_BUDGET, DirectionGrid, support_at
 
@@ -46,34 +46,6 @@ class LePageResult:
     values: np.ndarray      # (paths, d)
     tail_start: np.ndarray  # (paths,) 1/Gamma at the last consumed term
     terms_used: np.ndarray  # (paths,)
-
-
-def _check_symmetric(driver, rng) -> None:
-    """Refuse sum mode for drivers that are visibly not symmetric.
-
-    Exact for discrete (atom set must be sign-symmetric with equal weights)
-    and Gaussian (zero mean); otherwise a pilot-sample check that sign-odd
-    functionals have mean zero within four standard errors.
-    """
-    if isinstance(driver, DiscreteLaw):
-        if not measures_close(driver.atoms, driver.weights, -driver.atoms, driver.weights, mass_tol=1e-12):
-            raise ValueError("sum mode needs a symmetric driver; the atom set is not sign-symmetric")
-        return
-    if isinstance(driver, GaussianLaw):
-        if np.abs(driver.mean_vec).max() > 1e-12:
-            raise ValueError("sum mode needs a symmetric driver; the Gaussian mean is nonzero")
-        return
-    declared = getattr(driver, "symmetric", None)
-    if declared is False:
-        raise ValueError("driver declares itself non-symmetric")
-    pilot = driver.sample(4096, rng)
-    n = pilot.shape[0]
-    probe = as_rng(1).standard_normal((3, driver.dim))
-    for v in probe:
-        for vals in (pilot @ v, np.sign(pilot @ v) * np.linalg.norm(pilot, axis=1)):
-            se = vals.std(ddof=1) / math.sqrt(n)
-            if abs(vals.mean()) > 4.0 * se + 1e-12:
-                raise ValueError("sum mode needs a symmetric driver; a sign-odd functional has nonzero mean")
 
 
 def _sum_path(driver, n_terms: int, rng) -> tuple[np.ndarray, float, int]:
@@ -113,7 +85,7 @@ def simulate_lepage(cfg: LePageConfig, workers: int = 1) -> LePageResult:
     """
     check_rng = np.random.default_rng((cfg.seed, 0x5EED))
     if cfg.mode == "sum":
-        _check_symmetric(cfg.driver, check_rng)
+        require_symmetric(cfg.driver, 4096, check_rng, "sum mode")
     else:
         require_positive(cfg.driver, 4096, check_rng, "max mode")
 

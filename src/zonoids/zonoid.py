@@ -3,10 +3,10 @@
 Values are exact for discrete laws (enumeration over atoms) and for Gaussian
 laws (folded-normal moments); for every other law they are Monte Carlo
 estimates with a standard error.  One evaluator, ``support_at``, serves every
-kind at every direction: exact laws go through ``exact_support``, samples
-through one blocked kernel, ``projection_moments``, which projects each block
-of sample rows onto every direction at once; the equivalence and swap testers
-share it.  ``grid_support`` and the ``support_*`` functions are views of it.
+kind at every direction: exact laws go through their own ``law.support``,
+samples through one blocked kernel, ``projection_moments``, which projects
+each block of sample rows onto every direction at once; the equivalence and
+swap testers share it.  ``grid_support`` and the ``support_*`` functions are views of it.
 The kernel's reduction core also takes callables (``functional_moments``).
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError
-from .laws import DiscreteLaw, GaussianLaw
+from .laws import DiscreteLaw
 from .rng import as_rng
 
 DEFAULT_BUDGET = 100_000
@@ -133,19 +133,6 @@ class DirectionGrid:
         else:
             cover = cls.uniform_sphere(d, n, seed).directions
         return cls(np.vstack([cover, extra]), f"default:{d}d" if smooth is None else f"default:{n}+axes")
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-def gaussian_abs_moment(m: float, s: float) -> float:
-    """E|m + s Z| for standard normal Z (folded-normal mean)."""
-    if s == 0.0:
-        return abs(m)
-    return s * math.sqrt(2.0 / math.pi) * math.exp(-m * m / (2.0 * s * s)) + m * math.erf(
-        m / (s * math.sqrt(2.0))
-    )
 
 
 def _guard_verdict(small: np.ndarray, big: np.ndarray, vmax: np.ndarray, total: np.ndarray,
@@ -307,7 +294,8 @@ class _GuardStats:
 
 
 def _weighted_means(x: np.ndarray, dirs: np.ndarray, kind: str, weights: np.ndarray) -> np.ndarray:
-    """sum_j w_j f(<x_j, u>) for every direction row u, each independent of the other rows.
+    """sum_j w_j f(<x_j, u>) for every direction row u, each independent of the other rows:
+    the exact support of the discrete law with atoms x and weights w.
 
     f is positively homogeneous, so the weights scale the atoms once.  Direction
     rows go in zero-padded chunks of ``_WEIGHTED_ROWS`` and atoms in blocks
@@ -318,6 +306,8 @@ def _weighted_means(x: np.ndarray, dirs: np.ndarray, kind: str, weights: np.ndar
     directions as product rows, can round differently); the sums over atoms
     run down each column in order, and the block sums merge pairwise.
     """
+    if kind not in _FUNCTIONALS:
+        raise ValueError(f"unknown support kind {kind!r}")
     atoms = x * weights[:, None]
     step = max(1, BLOCK_ELEMENTS // _WEIGHTED_ROWS)
     chunk = np.zeros((_WEIGHTED_ROWS, dirs.shape[1]))
@@ -406,8 +396,7 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
     return ProjectionMoments(mean[cols], se[cols], paired, n)
 
 
-def projection_moments(samples, directions, kind: str = "centred", *, weights=None,
-                       pairs=None) -> ProjectionMoments:
+def projection_moments(samples, directions, kind: str = "centred", *, pairs=None) -> ProjectionMoments:
     """Moments of f(<x, u>) over the rows x of a sample, for every direction u.
 
     f is |.| (``"centred"``), (.)_+ (``"noncentred"``) or the max functional
@@ -418,20 +407,10 @@ def projection_moments(samples, directions, kind: str = "centred", *, weights=No
     side and block: bitwise-equal rows share one column, and so, for the even
     |.|, do a row and its exact negation.  A pair whose two directions share a
     column gets delta and paired SE exactly 0.  Results keep the caller's order.
-
-    ``weights`` marks the rows of one matrix as the atoms of a discrete law:
-    each mean is then the exact sum of w f, and every standard error is 0.
-    Each exact value is bitwise independent of the other direction rows in the
-    call, so a row and its duplicate or exact negation (for |.|) get the same
-    value.
     """
     if kind not in _FUNCTIONALS:
         raise ValueError(f"unknown support kind {kind!r}")
     dirs = np.asarray(directions, dtype=float)
-    if weights is not None:
-        exact = _weighted_means(samples, dirs, kind, weights)
-        return ProjectionMoments(exact, np.zeros(exact.size), np.zeros(0 if pairs is None else len(pairs[0])),
-                                 samples.shape[0])
     dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
     return _reduce_columns(samples, dirs.shape[0], lambda x, out: _project(x, dirs, kind, out), pairs, col)
 
@@ -451,35 +430,9 @@ def functional_moments(samples, functions, *, pairs=None) -> ProjectionMoments:
     return _reduce_columns(samples, len(functions), write, pairs)
 
 
-_folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
-
-
-def exact_support(law, directions, kind: str = "centred") -> np.ndarray:
-    """Closed-form support values of a discrete or Gaussian law, one per direction row."""
-    dirs = np.asarray(directions, dtype=float)
-    if kind not in _FUNCTIONALS:
-        raise ValueError(f"unknown support kind {kind!r}")
-    if kind == "max" and isinstance(law, GaussianLaw):
-        if np.abs(law.cov).max() != 0.0:
-            raise ValueError("max-zonoid support requires a positive law")
-        law = DiscreteLaw(law.mean_vec[None, :], np.array([1.0]))  # degenerate point mass
-    if isinstance(law, DiscreteLaw):
-        if kind == "max" and not law.is_positive():
-            raise ValueError("max-zonoid support requires a law with positive atoms")
-        return projection_moments(law.atoms, dirs, kind, weights=law.weights).mean
-    if not isinstance(law, GaussianLaw):
-        raise TypeError(f"no closed-form support for {type(law).__name__}")
-    # row-wise sums, not matrix products: each value is independent of the other rows
-    m = (dirs * law.mean_vec).sum(axis=1)
-    q = sum(dirs[:, j] * (dirs * law.cov[j]).sum(axis=1) for j in range(law.dim))
-    s = np.sqrt(np.maximum(q, 0.0))
-    h = _folded_normal_mean(m, s).astype(float)
-    return h if kind == "centred" else 0.5 * (h + m)
-
-
 def is_exact_law(law) -> bool:
-    """Whether support functions of this law are evaluated in closed form."""
-    return isinstance(law, (DiscreteLaw, GaussianLaw))
+    """Whether support functions of this law are evaluated in closed form, by ``law.support``."""
+    return hasattr(law, "support")
 
 
 def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUDGET, seed=None, *,
@@ -498,7 +451,7 @@ def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUD
     if kind not in _FUNCTIONALS:
         raise ValueError(f"unknown support kind {kind!r}")
     if is_exact_law(law):
-        values = exact_support(law.lift() if lift else law, dirs, kind)
+        values = (law.lift() if lift else law).support(dirs, kind)
         return [SupportEstimate(float(h), 0.0, 0, True) for h in values]
     if kind == "max" and law.is_positive() is False:
         raise ValueError("max-zonoid support requires a positive law")
@@ -606,7 +559,7 @@ def zonotope_2d(law: DiscreteLaw) -> Zonotope2D:
 def _check_zonotope(law: DiscreteLaw, vertices: np.ndarray) -> None:
     dirs = DirectionGrid.circle(64).directions
     poly = (vertices @ dirs.T).max(axis=0)
-    exact = exact_support(law, dirs)
+    exact = law.support(dirs)
     bad = np.flatnonzero(np.abs(poly - exact) > 1e-10)
     if bad.size:
         i = bad[0]
@@ -663,7 +616,7 @@ def mean_width_check(law, nodes: int = 10_000, budget: int = DEFAULT_BUDGET, see
         samples = _sample_for(law, budget, seed)
         mom = functional_moments(samples, [lambda x: np.linalg.norm(x, axis=1)])
         enorm, enorm_se = float(mom.mean[0]), float(mom.se[0])
-    hvals = exact_support(law, pts) if is_exact_law(law) else projection_moments(samples, pts).mean
+    hvals = law.support(pts) if is_exact_law(law) else projection_moments(samples, pts).mean
     integral = float(w @ hvals)
     identity = integral / (2.0 * unit_ball_volume(d - 1))
     return MeanWidthReport(enorm, identity, abs(enorm - identity), enorm_se, nodes)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -79,6 +80,7 @@ BAD_INPUTS = {
     "radial-rate-zero": (_elliptical({"kind": "exponential", "rate": 0}), None),
     "radial-rate-negative": (_elliptical({"kind": "exponential", "rate": -1.0}), None),
     "radial-chi-dof-zero": (_elliptical({"kind": "chi", "dof": 0}), None),
+    "radial-chi-dof-infinite": (_elliptical({"kind": "chi", "dof": 1e400}), None),
     "grid-without-directions": (GAUSS_2D, {"schema": 1}),
     "grid-unknown-field": (GAUSS_2D, {"schema": 1, "directions": [[1.0, 0.0]], "extra": True}),
 }
@@ -94,6 +96,16 @@ def test_unknown_fields_rejected(tmp_path):
             grid.write_text(json.dumps(grid_doc))
             argv += ["--grid", grid]
         assert run(argv) == 2, case
+
+
+def test_chi_radial_mean_past_the_gamma_overflow(tmp_path):
+    # the gamma functions overflow past dof 342; the mean comes from lgamma there
+    law, out = tmp_path / "law.json", tmp_path / "rep.json"
+    law.write_text(json.dumps(_elliptical({"kind": "chi", "dof": 400})))
+    assert run(["support", "--law", law, "--grid", "8", "--budget", "1e4", "--seed", "1", "--out", out]) == 0
+    got = law_from_json(load(out)["inputs"]["law"]).radial_mean
+    want = math.sqrt(2.0) * math.exp(math.lgamma(200.5) - math.lgamma(200.0))
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_missing_schema_rejected(tmp_path):
@@ -182,7 +194,7 @@ def test_lognormal_and_elliptical_checks(tmp_path, lognormal_pair):
     assert run(["elliptical-check", "--a", e1, "--b", e2, "--out", out]) == 0
 
 
-def test_cf_check_command(tmp_path):
+def test_cf_check_command(tmp_path, lognormal_pair, capsys):
     g1 = tmp_path / "g1.json"
     g2 = tmp_path / "g2.json"
     g1.write_text(json.dumps({"schema": 1, "type": "gaussian", "mean": [-0.5, -0.5],
@@ -191,6 +203,9 @@ def test_cf_check_command(tmp_path):
                               "cov": [[2.0, 1.0], [1.0, 2.0]]}))
     out = tmp_path / "rep.json"
     assert run(["cf-check", "--a", g1, "--b", g2, "--seed", "2", "--out", out]) == 0
+    # a lognormal law has no closed-form characteristic function
+    assert run(["cf-check", "--a", lognormal_pair[0], "--b", g2, "--seed", "2", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_stationarity_command(tmp_path):
@@ -251,7 +266,7 @@ def test_locscale_recover_command(tmp_path):
                 "--seed", "1", "--out", out]) == 2
 
 
-def test_zonotope_and_mean_width_commands(tmp_path):
+def test_zonotope_and_mean_width_commands(tmp_path, capsys):
     law = tmp_path / "law.json"
     law.write_text(json.dumps({"schema": 1, "type": "discrete",
                                "atoms": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}))
@@ -260,6 +275,12 @@ def test_zonotope_and_mean_width_commands(tmp_path):
     doc = load(out)
     verts = {tuple(np.round(r, 10)) for r in doc["result"]["vertices"]["rows"]}
     assert verts == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
+    # the zonogon needs a discrete law in the plane
+    for doc in (GAUSS_2D, {"schema": 1, "type": "discrete", "atoms": [[1, 0, 0], [0, 1, 1]], "weights": [0.5, 0.5]}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["zonotope", "--law", bad, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
     out2 = tmp_path / "mw.json"
     assert run(["mean-width", "--law", law, "--nodes", "1e4", "--tol", "1e-6", "--out", out2]) == 0
     doc = load(out2)

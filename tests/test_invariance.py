@@ -31,7 +31,7 @@ from zonoids.laws import (
 )
 from zonoids.levy import check_lognormal_equiv
 from zonoids.rng import as_rng
-from zonoids.zonoid import DirectionGrid, exact_support, support_centred
+from zonoids.zonoid import DirectionGrid, support_centred
 
 SWAPPY = DiscreteLaw([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5])
 CORO_A = LognormalLaw(GaussianLaw([-0.5, -0.5], np.eye(2)))
@@ -169,8 +169,8 @@ def test_swap_methods_agree():
     for law in (SWAPPY, DiscreteLaw([[1.0, 2.0], [2.0, 1.2]], [0.5, 0.5])):
         rep = test_swap_invariance(law, "all")
         dirs = rep.grid.directions
-        h = exact_support(law, dirs)
-        ref = max(float(np.abs(h - exact_support(permute_law(law, p), dirs)).max())
+        h = law.support(dirs)
+        ref = max(float(np.abs(h - permute_law(law, p).support(dirs)).max())
                   for p in itertools.permutations(range(law.dim)))
         assert rep.mode == "exact"
         assert rep.verdict == (ref <= 1e-10)

@@ -239,6 +239,30 @@ def test_is_positive(law, expected):
     assert law.is_positive() is expected
 
 
+SYMMETRY = [
+    (DiscreteLaw([[1.0, 2.0], [-1.0, -2.0]], [0.5, 0.5]), True),
+    (DiscreteLaw([[0.0, 0.0]], [1.0]), True),
+    (DiscreteLaw([[1.0, 2.0], [-1.0, -2.0]], [0.6, 0.4]), False),  # sign-symmetric atoms, unequal weights
+    (DiscreteLaw([[1.0, 2.0], [-1.0, 2.0]], [0.5, 0.5]), False),
+    (GaussianLaw([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]), True),
+    (GaussianLaw([0.0, 1e-3], np.eye(2)), False),
+    (LognormalLaw(GaussianLaw([-5.0], [[4.0]])), False),
+    (law_from_json(JSON_DOCS[3]), True),
+    (EllipticalLaw(1.0, lambda rng, n: np.ones(n), [[1.0, 2.0], [0.0, 1.0]]), True),
+    (SamplerLaw(1, lambda rng, n: rng.random(n), symmetric=True), True),
+    (SamplerLaw(1, lambda rng, n: rng.random(n), symmetric=False), False),
+    (SamplerLaw(1, lambda rng, n: rng.random(n)), None),
+    # N(0, 4) in law, yet no closed form decides it
+    (law_from_json(JSON_DOCS[4] | {"location": 0.0}), None),
+]
+
+
+@pytest.mark.parametrize("law,expected", SYMMETRY,
+                         ids=[f"{type(law).__name__}-{i}" for i, (law, _) in enumerate(SYMMETRY)])
+def test_is_symmetric(law, expected):
+    assert law.is_symmetric() is expected
+
+
 def test_law_json_rejects_unknown_fields():
     with pytest.raises(SchemaError):
         law_from_json({"schema": 1, "type": "gaussian", "mean": [0.0], "cov": [[1.0]], "spurious": 1})

@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 from zonoids.laws import (
     DiscreteLaw,
+    EllipticalLaw,
     GaussianLaw,
     LognormalLaw,
     SamplerLaw,
@@ -86,6 +87,33 @@ def test_sum_mode_rejects_asymmetric_drivers():
         simulate_lepage(LePageConfig(GaussianLaw([0.5], [[1.0]]), "sum", 10, 10, seed=6))
     with pytest.raises(ValueError):
         simulate_lepage(LePageConfig(LognormalLaw(GaussianLaw([0.0], [[1.0]])), "sum", 10, 10, seed=6))
+    with pytest.raises(ValueError):
+        simulate_lepage(LePageConfig(SamplerLaw(1, lambda rng, n: rng.standard_normal(n), symmetric=False),
+                                     "sum", 10, 10, seed=6))
+    # undecided symmetry: the sign-odd pilot on 4,096 rows rejects an exponential driver
+    calls = []
+    exponential = SamplerLaw(1, lambda rng, n: calls.append(n) or rng.exponential(1.0, n))
+    with pytest.raises(ValueError):
+        simulate_lepage(LePageConfig(exponential, "sum", 10, 10, seed=6))
+    assert calls == [4096]
+
+
+def test_sum_mode_trusts_decided_symmetry_without_a_pilot(monkeypatch):
+    calls = []
+
+    def radial(rng, n):
+        calls.append(n)
+        return np.ones(n)
+
+    simulate_lepage(LePageConfig(EllipticalLaw(1.0, radial, np.eye(2)), "sum", 10, 5, seed=6))
+    assert calls == [10] * 5
+    calls.clear()
+    draw = DiscreteLaw.sample
+    monkeypatch.setattr(DiscreteLaw, "sample", lambda law, n, rng: calls.append(n) or draw(law, n, rng))
+    scaled = scale_law(rademacher_law(), 2.0)
+    assert scaled.is_symmetric() is True
+    simulate_lepage(LePageConfig(scaled, "sum", 10, 5, seed=6))
+    assert calls == [10] * 5
 
 
 def test_max_mode_rejects_signed_drivers():

@@ -16,7 +16,6 @@ from zonoids.zonoid import (
     _GUARD_CHUNKS,
     _GUARD_MIN_ROWS,
     _guard_verdict,
-    exact_support,
     functional_moments,
     grid_support,
     mean_width_check,
@@ -122,13 +121,12 @@ def test_kernel_coupled_sides_and_weighted_atoms(block, problem):
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
         mom = projection_moments((x, y), dirs, kind, pairs=(np.arange(k), np.arange(k, 2 * k)))
         called = functional_moments((x, y), column_functions(dirs, kind), pairs=(np.arange(k), np.arange(k, 2 * k)))
-        exact = projection_moments(x, dirs, kind, weights=w, pairs=([0], [k - 1]))
+        exact = DiscreteLaw(x, w).support(dirs, kind)
     vx, vy = reference_values(x, dirs, kind), reference_values(y, dirs, kind)
     for got in (mom, called):
         assert_close(got.mean, np.concatenate([vx.mean(axis=0), vy.mean(axis=0)]))
         assert_close(got.paired_se, reference_se(vx - vy), roundoff(np.concatenate([vx, vy])))
-    assert_close(exact.mean, w @ vx)
-    assert np.all(exact.se == 0.0) and np.all(exact.paired_se == 0.0)
+    assert_close(exact, w @ vx)
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -144,9 +142,9 @@ def test_exact_values_do_not_depend_on_the_other_rows(block, problem):
     rows = np.r_[np.arange(k), rng.integers(k, dirs.shape[0], size=6)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
-        values = exact_support(law, dirs, kind)
+        values = law.support(dirs, kind)
         for i in rows:
-            assert _bits(exact_support(law, dirs[i:i + 1], kind)) == _bits(values[i:i + 1])
+            assert _bits(law.support(dirs[i:i + 1], kind)) == _bits(values[i:i + 1])
     assert_close(values, law.weights @ reference_values(x, dirs, kind))
 
 
@@ -172,7 +170,7 @@ def test_equiv_with_one_exact_side_matches_reference():
     dirs = rep.grid.directions
     samples = logn.sample(30_000, as_rng(5))
     values = np.abs(samples @ dirs.T)
-    assert_close(rep.h_a, exact_support(gauss, dirs))
+    assert_close(rep.h_a, gauss.support(dirs))
     assert_close(rep.h_b, values.mean(axis=0))
     assert_close(rep.pooled_se, reference_se(values), roundoff(values))
 

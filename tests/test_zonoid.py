@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from zonoids.errors import DiagnosticError
-from zonoids.laws import DiscreteLaw, GaussianLaw, LognormalLaw, SamplerLaw, law_mean
+from zonoids.laws import DiscreteLaw, GaussianLaw, LognormalLaw, SamplerLaw, gaussian_abs_moment, law_mean
 from zonoids.rng import as_rng
 from zonoids.zonoid import (
     DirectionGrid,
     MeanWidthReport,
     SupportEstimate,
-    gaussian_abs_moment,
     grid_support,
     mean_width_check,
     support_centred,

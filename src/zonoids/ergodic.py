@@ -29,12 +29,19 @@ class ErgodicRun:
     aux: tuple                    # per-path auxiliary state dicts
 
 
+def _exact_sum(chunk: np.ndarray) -> float:
+    """``math.fsum(chunk)``, over the nonzero terms only: exact zeros never change
+    an exact sum, and fsum of zeros alone, -0.0 among them, is +0.0 like the
+    empty sum."""
+    return math.fsum(chunk[chunk != 0.0].tolist())
+
+
 def _checkpoint_averages(path: np.ndarray, checkpoints) -> np.ndarray:
     """Running averages at the checkpoints via exactly accumulated chunk sums."""
     sums = []
     prev = 0
     for c in checkpoints:
-        sums.append(math.fsum(path[prev:c]))
+        sums.append(_exact_sum(path[prev:c]))
         prev = c
     out = np.empty(len(checkpoints))
     for k, c in enumerate(checkpoints):

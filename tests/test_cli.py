@@ -108,6 +108,16 @@ def test_chi_radial_mean_past_the_gamma_overflow(tmp_path):
     assert abs(got - want) <= 1e-12 * want
 
 
+def test_chi_radial_fractional_dof(tmp_path):
+    # a fractional dof is used as given, not truncated to chi(2)
+    law, out = tmp_path / "law.json", tmp_path / "rep.json"
+    law.write_text(json.dumps(_elliptical({"kind": "chi", "dof": 2.5})))
+    assert run(["support", "--law", law, "--grid", "8", "--budget", "1e4", "--seed", "1", "--out", out]) == 0
+    embedded = law_from_json(load(out)["inputs"]["law"])
+    assert embedded.radial_mean == math.sqrt(2.0) * math.gamma(1.75) / math.gamma(1.25)
+    assert embedded.to_json()["radial"] == {"kind": "chi", "dof": 2.5}
+
+
 def test_missing_schema_rejected(tmp_path):
     law = tmp_path / "law.json"
     law.write_text(json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}))

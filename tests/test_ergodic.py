@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonoids.errors import NoOracleError
 from zonoids.ergodic import (
+    _checkpoint_averages,
     convergence_diagnostic,
     l1_diagnostic,
     limit_formula_check,
@@ -154,3 +157,69 @@ def test_convergence_diagnostic_without_oracle():
     diag = convergence_diagnostic(run)
     assert diag.median_gap.shape == (2,)
     assert diag.decreasing
+
+
+def _fsum_every_term(path, checkpoints):
+    """The checkpoint averages with each chunk summed by math.fsum over all of its terms."""
+    sums = []
+    prev = 0
+    for c in checkpoints:
+        sums.append(math.fsum(path[prev:c]))
+        prev = c
+    return np.array([math.fsum(sums[: k + 1]) / c for k, c in enumerate(checkpoints)])
+
+
+def _assert_same_as_fsum_every_term(path, checkpoints):
+    try:
+        want = _fsum_every_term(path, checkpoints)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            _checkpoint_averages(path, checkpoints)
+        return
+    assert _checkpoint_averages(path, checkpoints).tobytes() == want.tobytes()
+
+
+TERMS = [-0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, 1.0, -1.0, 1e16, -1e16, 1e308, -1e308, 0.1, 3.0,
+         math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def sparse_paths(draw):
+    n = draw(st.integers(1, 300))
+    path = np.zeros(n)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(TERMS)), max_size=12)):
+        path[i] = v
+    checkpoints = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=5)))
+    return path, tuple(checkpoints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sparse_paths())
+def test_checkpoint_averages_equal_fsum_of_every_term(case):
+    # skipping exact zeros leaves every exactly rounded chunk sum, its specials
+    # and its errors as they are
+    _assert_same_as_fsum_every_term(*case)
+
+
+CHUNKS = {
+    "all-plus-zero": [0.0] * 8,
+    "all-minus-zero": [-0.0] * 8,
+    "signed-zeros": [0.0, -0.0, -0.0, 0.0],
+    "subnormals": [5e-324, 0.0, -0.0, 5e-324, 2.2e-308, -1e-310],
+    "cancelling": [1e308, 0.0, 1.0, -1e308, -0.0, 1e-300],
+    "inf": [0.0, math.inf, -0.0, 1.0],
+    "nan": [-0.0, math.nan, 0.0],
+    "inf-minus-inf": [math.inf, 0.0, -math.inf],
+    "overflow": [1e308, 1e308, 0.0],
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKS))
+def test_checkpoint_averages_special_chunks(name):
+    chunk = CHUNKS[name]
+    path = np.array([1.0] + chunk + [-0.0] * 3 + chunk)
+    n = path.size
+    _assert_same_as_fsum_every_term(path, (1, 1 + len(chunk), n - len(chunk), n))
+    if name == "inf-minus-inf":
+        with pytest.raises(ValueError):
+            _checkpoint_averages(path, (n,))

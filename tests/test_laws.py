@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from zonoids.errors import SchemaError
@@ -292,3 +294,112 @@ def test_rademacher_is_symmetric_unit():
 def test_iid_model_needs_scalar_base():
     with pytest.raises(ValueError):
         IidExchangeableModel(GaussianLaw([0.0, 0.0], np.eye(2)))
+
+
+def _cdf(weights) -> np.ndarray:
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    return cum
+
+
+def _edge_uniforms(cum: np.ndarray, n: int, rng) -> np.ndarray:
+    """n uniforms in [0, 1): every cdf value below one, its floating neighbours, 0 and the top, then random."""
+    marks = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, np.nextafter(1.0, 0.0)]])
+    marks = np.unique(marks[(marks >= 0.0) & (marks < 1.0)])
+    u = rng.random(n)
+    k = min(n, marks.size)
+    u[rng.choice(n, k, replace=False)] = rng.choice(marks, k, replace=False)
+    return u
+
+
+@st.composite
+def discrete_draws(draw):
+    m = draw(st.integers(1, 64))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.5, 1e-9, 0.3, 2.0 / 3.0]),
+                                     min_size=m, max_size=m)))
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, m - 1))] = 1.0
+    weights /= weights.sum()  # zero weights make the cdf values repeat
+    n = draw(st.sampled_from([1, 2, 128, 1_000, 2_048, 10_000]))
+    return weights, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _assert_draws_are_searchsorted(weights, u):
+    m = weights.shape[0]
+    law = DiscreteLaw(np.arange(float(m))[:, None] * [1.0, -1.0], weights)
+    want = np.searchsorted(_cdf(law.weights), u, side="left")
+    got = law.sample_with_driver(u)
+    assert got.tobytes() == law.atoms[want].tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=discrete_draws())
+def test_discrete_draw_indices_are_searchsorted(case):
+    # the count of cdf values below u is the left insertion point, on either
+    # side of the draw rule, on a cdf value and next to it
+    weights, n, rng = case
+    _assert_draws_are_searchsorted(weights, _edge_uniforms(_cdf(weights), n, rng))
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0],
+    [0.5, 0.5],
+    [0.0, 1.0, 0.0],
+    [0.3, 0.7 + 4e-13, 0.0],  # the cdf passes one before the guard sets its last value
+    [0.3, 0.7 - 4e-13],       # the guard lifts the last value to one
+    [0.25, 0.0, 0.0, 0.25, 0.5],
+])
+@pytest.mark.parametrize("n", [1, 128, 10_000])
+def test_discrete_draw_indices_at_the_cdf_guard(weights, n):
+    weights = np.array(weights)
+    _assert_draws_are_searchsorted(weights, _edge_uniforms(_cdf(weights), n, np.random.default_rng(n)))
+
+
+@pytest.mark.parametrize("b", [[0.5], [0.3, -0.2, 0.1], [-0.0, 0.25, 1e-300, 0.4]])
+def test_mean_corrections_are_mu_byte_for_byte(b):
+    model = LognormalSwapModel(b)
+    for n in sorted({1, len(b) - 1, len(b), len(b) + 1, 50} - {0}):
+        want = np.array([model.mu(i) for i in range(1, n + 1)], dtype=float)
+        assert model.mean_corrections(n).tobytes() == want.tobytes()
+        assert lognormal_swap_law(b, n).gaussian.mean_vec.tobytes() == want.tobytes()
+
+
+def _chi_law(dof):
+    return law_from_json({"schema": 1, "type": "elliptical", "radial": {"kind": "chi", "dof": dof},
+                          "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_chi_radial_honours_a_fractional_dof():
+    law = _chi_law(2.5)
+    assert law.radial_mean == math.sqrt(2.0) * math.gamma(1.75) / math.gamma(1.25)
+    assert law.to_json()["radial"]["dof"] == 2.5
+    # E R^2 = dof: chi(2) would sit about 70 standard errors away
+    r2 = law.radial_sampler(as_rng(5), 100_000) ** 2
+    assert abs(r2.mean() - 2.5) < 4.0 * math.sqrt(2.0 * 2.5 / r2.size)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 100, 342])
+def test_chi_radial_integral_dof_unchanged(dof):
+    law = _chi_law(dof)
+    assert law.radial_mean == math.sqrt(2.0) * math.gamma((dof + 1) / 2) / math.gamma(dof / 2)
+    draws = np.sqrt(as_rng(3).chisquare(dof, 64))
+    assert law.radial_sampler(as_rng(3), 64).tobytes() == draws.tobytes()
+
+
+# E chi_dof = sqrt(2) Gamma((dof + 1) / 2) / Gamma(dof / 2), from mpmath 1.3 at 700 digits
+CHI_MEANS = {
+    343: 18.50676538354970419718282,
+    400: 19.9875039184489253233046,
+    1e3: 31.61487189698008008849748,
+    1e6: 999.9997500000312500390625,
+    1e9: 31622.7765937780991705562,
+    1e12: 999999.99999975,
+    1e15: 31622776.60168378541429479,
+    1e300: 1.0e150,
+}
+
+
+@pytest.mark.parametrize("dof", list(CHI_MEANS))
+def test_chi_radial_mean_against_reference(dof):
+    want = CHI_MEANS[dof]
+    assert abs(_chi_law(dof).radial_mean - want) <= 1e-14 * want

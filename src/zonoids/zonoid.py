@@ -30,6 +30,10 @@ _GUARD_MIN_ROWS = 4096
 _GUARD_CHUNKS = (64, 4)  # chunk counts of the guard's small and big chunk means
 _GUARD_DENSE = 64  # nonzero values the first small chunk needs before growth is read
 _WEIGHTED_ROWS = 64  # direction rows per product on the exact (weighted) path
+# Pairs a run of consecutive columns at one offset needs to be subtracted as one
+# slice; one slice costs about as much as gathering 5 (blocks of 250 rows) to 18
+# (blocks of 21 rows) more pairs.
+_RUN_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -181,13 +185,16 @@ _FUNCTIONALS = ("centred", "noncentred", "max")
 class ProjectionMoments:
     """Per-column means over sample rows, with standard errors.
 
-    ``mean`` and ``se`` have one entry per column; ``paired_se`` has
-    one entry per requested column pair: the standard error of the mean of the
-    row-wise difference of the two columns.  ``n`` is the row count.
+    ``mean`` has one entry per column.  A call without pairs returns each
+    column's standard error in ``se`` and an empty ``paired_se``.  A paired
+    call returns only what its pairs need: ``paired_se`` has one entry per
+    requested column pair, the standard error of the mean of the row-wise
+    difference of the two columns, and ``se`` is None, as no per-column
+    second moment is formed.  ``n`` is the row count.
     """
 
     mean: np.ndarray
-    se: np.ndarray
+    se: np.ndarray | None
     paired_se: np.ndarray
     n: int
 
@@ -222,11 +229,31 @@ def _fold(dirs: np.ndarray) -> np.ndarray:
     return np.where(lead[:, None] < 0.0, -dirs, dirs) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def _as_index(idx: np.ndarray):
-    """A run of consecutive column indices as a slice (no gather), else the indices."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return slice(int(idx[0]), int(idx[0]) + idx.size)
-    return idx
+def _pair_layout(lo: np.ndarray, hi: np.ndarray, width: int):
+    """Lay out the distinct column pairs (lo < hi) of ``width`` columns for subtraction.
+
+    The distinct pairs are ordered by (hi - lo, lo).  A run of at least
+    ``_RUN_MIN`` of them at one offset with consecutive ``lo`` takes one slice
+    of columns from another, so it is subtracted without a gather; the runs
+    come first and the pairs outside them follow, gathered.  Returns each
+    given pair's difference column, the runs as (minuend, subtrahend,
+    difference) slices and the gathered pairs' columns.
+    """
+    keys, inverse = np.unique((hi - lo) * width + lo, return_inverse=True)
+    first, offset = keys % width, keys // width
+    starts = np.r_[0, np.flatnonzero((np.diff(first) != 1) | (np.diff(offset) != 0)) + 1]
+    lengths = np.diff(np.r_[starts, keys.size])
+    long = lengths >= _RUN_MIN
+    order = np.argsort(~np.repeat(long, lengths), kind="stable")  # the runs' pairs first, in key order
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    runs, at = [], 0
+    for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
+        i, j = int(first[start]), int(first[start] + offset[start])
+        runs.append((slice(i, i + length), slice(j, j + length), slice(at, at + length)))
+        at += length
+    rest = order[at:]
+    return position[inverse.ravel()], runs, (first[rest], first[rest] + offset[rest])
 
 
 def _merge_pairwise(parts, combine):
@@ -250,12 +277,13 @@ def _merge_pairwise(parts, combine):
 
 
 def _chan_merge(a, b):
-    """Combine two (count, mean, M2) summaries (Chan, Golub & LeVeque, 1983)."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
+    """Combine two (count, sums, mean, M2) summaries: sums add, mean and M2 merge
+    as in Chan, Golub & LeVeque (1983)."""
+    na, sums_a, mean_a, m2_a = a
+    nb, sums_b, mean_b, m2_b = b
     n = na + nb
     delta = mean_b - mean_a
-    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+    return n, sums_a + sums_b, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
 
 
 class _GuardStats:
@@ -342,9 +370,15 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
     integrability guard, from chunk sums and maxima, once n reaches
     ``_GUARD_MIN_ROWS``.
 
-    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values.  Per-block
-    (count, mean, M2) summaries are merged pairwise (Chan, Golub & LeVeque,
-    1983): no raw sums of squares are formed.
+    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values.  A second
+    moment (M2) is formed only for the columns whose SE the call returns: every
+    written column on a call without pairs, only the pair differences on a
+    paired call, whose written columns get block sums alone.  Per-block
+    (count, sums, mean, M2) summaries are merged pairwise (Chan, Golub &
+    LeVeque, 1983): no raw sums of squares are formed.  Pair differences are
+    taken by runs of columns (``_pair_layout``), and every row of a block is
+    summed with the same arithmetic, so bitwise-equal columns get bitwise-equal
+    results wherever they sit.
     """
     sides = samples if isinstance(samples, tuple) else (samples,)
     n = sides[0].shape[0]
@@ -352,13 +386,14 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
         raise ValueError("every side needs the same, positive number of rows")
     col = np.arange(k) if col is None else col
     cols = (np.arange(len(sides))[:, None] * k + col).ravel()  # the written column of each caller's column
-    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if pairs is not None else ((), ())))
-    ends = np.sort(np.column_stack([cols[a], cols[b]]), axis=1)
-    live = np.flatnonzero(ends[:, 0] != ends[:, 1])
-    ends, pair_row = _distinct_rows(ends[live])
-    pa, pb = _as_index(ends[:, 0]), _as_index(ends[:, 1])
     width = k * len(sides)
-    total = width + ends.shape[0]
+    paired = pairs is not None
+    a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if paired else ((), ())))
+    lo, hi = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    live = np.flatnonzero(lo != hi)
+    pair_col, runs, (ga, gb) = _pair_layout(lo[live], hi[live], width)
+    total = width + ga.size + sum(dst.stop - dst.start for _, _, dst in runs)
+    m2_from = width if paired else 0  # the block rows whose SE the call returns
     rows = max(1, BLOCK_ELEMENTS // total)
     guard = _GuardStats(n, width) if n >= _GUARD_MIN_ROWS else None
 
@@ -368,32 +403,39 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             block = np.empty((total, stop - start))
-            values = block[:width]
+            values, diffs = block[:width], block[width:]
             for s, x in enumerate(sides):
                 write(x[start:stop], values[s * k:(s + 1) * k])
-            if ends.size:
-                np.subtract(values[pa], values[pb], out=block[width:])
+            for i, j, at in runs:
+                np.subtract(values[i], values[j], out=diffs[at])
+            if ga.size:
+                np.subtract(values[ga], values[gb], out=diffs[diffs.shape[0] - ga.size:])
             r = stop - start
-            ones = np.ones(r)
-            sums = block @ ones  # row sums through BLAS, faster than sum()
+            # row sums by einsum, which sums every row alike; a BLAS product
+            # with ones rounds the last rows differently
+            sums = np.einsum("ij->i", block)
             if guard is not None:
                 guard.add(values, start, sums[:width])
-            mean = sums / r
-            block -= mean[:, None]
+            moment = block[m2_from:]
+            mean = sums[m2_from:] / r
+            moment -= mean[:, None]
             # corrected two-pass step: the residual sum removes the rounding of
             # the first mean, so a constant column gets its value and M2 = 0 exactly
-            resid = block @ ones
-            np.square(block, out=block)
-            m2 = block @ ones - resid * resid / r
-            yield r, mean + resid / r, np.maximum(m2, 0.0)
+            resid = np.einsum("ij->i", moment)
+            m2 = np.einsum("ij,ij->i", moment, moment) - resid * resid / r
+            yield r, sums[:m2_from], mean + resid / r, np.maximum(m2, 0.0)
 
-    _, mean, m2 = _merge_pairwise(blocks(), _chan_merge)
+    _, sums, mean, m2 = _merge_pairwise(blocks(), _chan_merge)
+    se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(m2.size)
+    if paired:  # the merged mean is the pair differences'; the written columns' come from their sums
+        mean = sums / n
     if guard is not None:
-        guard.check(mean[:width], n)
-    se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(total)
-    paired = np.zeros(a.size)
-    paired[live] = se[width:][pair_row]
-    return ProjectionMoments(mean[cols], se[cols], paired, n)
+        guard.check(mean, n)
+    if not paired:
+        return ProjectionMoments(mean[cols], se[cols], np.zeros(0), n)
+    paired_se = np.zeros(a.size)
+    paired_se[live] = se[pair_col]
+    return ProjectionMoments(mean[cols], None, paired_se, n)
 
 
 def projection_moments(samples, directions, kind: str = "centred", *, pairs=None) -> ProjectionMoments:

@@ -481,14 +481,24 @@ def test_swap_bonferroni_spreads_level_over_directions_and_permutations():
 
 
 def test_se_floor_silences_a_near_axis_roundoff_delta():
-    # the laws differ only in mu_0; at the circle's direction (6e-17, 1) the
-    # supports differ by a few ulps, and the paired SE is of the same roundoff
-    # order, so the raw ratio reads as a huge discrepancy
+    # coupled samples of laws that differ only in mu_0, with b's second
+    # coordinate one ulp above a's in every row: at the circle's direction
+    # (6e-17, 1) the supports differ by a few ulps, and the paired SE is of the
+    # same roundoff order, so the raw ratio reads as a huge discrepancy.  The
+    # nudge goes into every row because a few nudged rows move a mean of
+    # 1e6 rows by less than its own rounding.
     cov = [[0.5, 0.1], [0.1, 0.5]]
     a = LognormalLaw(GaussianLaw([0.0, -3.0], cov))
     b = LognormalLaw(GaussianLaw([0.2, -3.0], cov))
     grid = DirectionGrid.circle(64)
-    rep = test_zonoid_equiv(a, b, grid, budget=1_000_000, seed=2)
+    z = as_rng(2).standard_normal((1_000_000, 2))
+    sa, sb = a.sample_with_driver(z), b.sample_with_driver(z)
+    sb[:, 1] = np.nextafter(sb[:, 1], np.inf)
+
+    def compare(g):
+        return test_zonoid_equiv(a, b, g, samples_a=sa, samples_b=sb, samples_coupled=True)
+
+    rep = compare(grid)
     assert rep.crn and not rep.verdict
     near_axis = np.abs(grid.directions[:, 0]) < 1e-15
     ulps = np.abs(rep.delta) / np.spacing(np.maximum(np.abs(rep.h_a), np.abs(rep.h_b)))
@@ -498,5 +508,5 @@ def test_se_floor_silences_a_near_axis_roundoff_delta():
     assert roundoff.size, (rep.delta[near_axis], raw[near_axis])
     assert not near_axis[rep.worst_index]
     for j in roundoff:
-        one = test_zonoid_equiv(a, b, DirectionGrid(grid.directions[[j]]), budget=1_000_000, seed=2)
+        one = compare(DirectionGrid(grid.directions[[j]]))
         assert one.max_standardized < 1.0 and one.verdict

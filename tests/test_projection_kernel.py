@@ -80,31 +80,56 @@ def column_functions(dirs, kind):
     return [lambda x, u=u: reference_values(x, u[None], kind)[:, 0] for u in dirs]
 
 
+@st.composite
+def paired_problems(draw):
+    """A problem with random column pairs, or one on an orbit with the pairs of a swap test.
+
+    The orbit {pi^-1 u} stacks m base rows and their images under p coordinate
+    permutations; the swap pairs (tile(arange(m)), arange(m, (p + 1) m)) are
+    runs of m consecutive columns at offsets m, 2m, ...  Duplicate, reversed
+    and one-column pairs ride along, and a stray pair may break the first run.
+    """
+    x, dirs, kind, rng = draw(problems())
+    if not draw(st.booleans()):
+        k = dirs.shape[0]
+        return x, dirs, kind, rng, rng.integers(0, k, size=5), rng.integers(0, k, size=5)
+    m, p = draw(st.integers(2, 3 * zonoid_mod._RUN_MIN // 2)), draw(st.integers(1, 3))
+    d = x.shape[1]
+    base = rng.standard_normal((m, d))
+    dirs = np.vstack([base] + [base[:, rng.permutation(d)] for _ in range(p)])
+    a, b = np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)
+    if draw(st.booleans()):
+        b[draw(st.integers(0, m - 2))] += 1  # offset m + 1 inside the run at offset m
+    dup, rev = rng.integers(0, a.size, size=2), rng.integers(0, a.size, size=2)
+    same = rng.integers(0, dirs.shape[0], size=2)
+    return x, dirs, kind, rng, np.r_[a, a[dup], b[rev], same], np.r_[b, b[dup], a[rev], same]
+
+
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @settings(max_examples=40, deadline=None)
-@given(problem=problems())
+@given(problem=paired_problems())
 def test_kernel_matches_two_pass_reference(block, problem):
-    x, dirs, kind, rng = problem
-    k = dirs.shape[0]
-    a = rng.integers(0, k, size=5)
-    b = rng.integers(0, k, size=5)
+    x, dirs, kind, rng, a, b = problem
     fns = column_functions(dirs, kind)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
         mom = projection_moments(x, dirs, kind, pairs=(a, b))
         again = projection_moments(x, dirs, kind, pairs=(a, b))
         called = functional_moments(x, fns, pairs=(a, b))
+        plain = projection_moments(x, dirs, kind)
         unpaired = functional_moments(x, fns)
     values = reference_values(x, dirs, kind)
-    for got in (mom, called, unpaired):
+    for got in (mom, called, plain, unpaired):
         assert got.n == x.shape[0]
         assert_close(got.mean, values.mean(axis=0))
+    for got in (plain, unpaired):
         assert_close(got.se, reference_se(values), roundoff(values))
+        assert got.paired_se.size == 0
     for got in (mom, called):
+        assert got.se is None  # a paired call forms no per-column second moment
         assert_close(got.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
         assert np.all(got.paired_se[a == b] == 0.0)
-    assert unpaired.paired_se.size == 0
-    for field in ("mean", "se", "paired_se"):
+    for field in ("mean", "paired_se"):
         assert getattr(again, field).tobytes() == getattr(mom, field).tobytes()
 
 
@@ -152,8 +177,28 @@ def test_kernel_constant_columns_have_zero_se():
     x = np.column_stack([np.full(10_007, 0.1), np.full(10_007, 0.3)])
     dirs = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
     mom = projection_moments(x, dirs, pairs=([0, 1], [1, 2]))
-    assert mom.mean.tolist() == pytest.approx([0.3, 0.1, 0.3], rel=REL)
-    assert np.all(mom.se == 0.0) and np.all(mom.paired_se == 0.0)
+    plain = projection_moments(x, dirs)
+    for got in (mom, plain):
+        assert got.mean.tolist() == pytest.approx([0.3, 0.1, 0.3], rel=REL)
+    assert np.all(mom.paired_se == 0.0) and np.all(plain.se == 0.0)
+
+
+def _norm(s):
+    return np.linalg.norm(s, axis=1)
+
+
+@pytest.mark.parametrize("k", [6, 7])  # block rows 2 and 3 mod 4, where a BLAS row sum rounds the last rows apart
+def test_kernel_bitwise_equal_columns_get_bitwise_equal_moments(k):
+    middle = [lambda s, j=j: (j + 1.0) * np.abs(s[:, j % 3]) for j in range(k - 2)]
+    for seed in range(10):
+        x = np.exp(as_rng(seed).standard_normal((50_000, 3)))
+        # the same callable first and last: k value rows; then k - 2 value rows and
+        # two pair rows, the second pair's difference the first one's negation
+        plain = functional_moments(x, [_norm] + middle + [_norm])
+        paired = functional_moments(x, [_norm] + middle[:-2] + [_norm], pairs=([0, 1], [1, k - 3]))
+        assert _bits(plain.mean[0]) == _bits(plain.mean[-1]) and _bits(plain.se[0]) == _bits(plain.se[-1])
+        assert _bits(paired.mean[0]) == _bits(paired.mean[-1])
+        assert _bits(paired.paired_se[0]) == _bits(paired.paired_se[1])
 
 
 def test_kernel_rejects_bad_input():
@@ -346,14 +391,17 @@ def test_kernel_shares_columns_of_duplicates_and_centred_antipodes(block, proble
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
         mom = projection_moments(x, dirs, kind, pairs=(a, b))
         flipped = projection_moments(x, dirs, kind, pairs=(b, a))
+        plain = projection_moments(x, dirs, kind)
     for i, j in zip(*np.nonzero(same)):
-        assert _bits(mom.mean[i]) == _bits(mom.mean[j]) and _bits(mom.se[i]) == _bits(mom.se[j])
+        assert _bits(mom.mean[i]) == _bits(mom.mean[j])
+        assert _bits(plain.mean[i]) == _bits(plain.mean[j]) and _bits(plain.se[i]) == _bits(plain.se[j])
     shared = same[a, b]
     assert np.all(mom.paired_se[shared] == 0.0)
     assert _bits(flipped.paired_se) == _bits(mom.paired_se)
     values = reference_values(x, dirs, kind)
     assert_close(mom.mean, values.mean(axis=0))
-    assert_close(mom.se, reference_se(values), roundoff(values))
+    assert_close(plain.mean, values.mean(axis=0))
+    assert_close(plain.se, reference_se(values), roundoff(values))
     assert_close(mom.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
 
 

@@ -31,8 +31,9 @@ _GUARD_CHUNKS = (64, 4)  # chunk counts of the guard's small and big chunk means
 _GUARD_DENSE = 64  # nonzero values the first small chunk needs before growth is read
 _WEIGHTED_ROWS = 64  # direction rows per product on the exact (weighted) path
 # Pairs a run of consecutive columns at one offset needs to be subtracted as one
-# slice; one slice costs about as much as gathering 5 (blocks of 250 rows) to 18
-# (blocks of 21 rows) more pairs.
+# slice; shorter runs join the gather of the stray pairs.  Slicing every run
+# measured the same on the swap orbit, and twice the time of the gather on 400
+# scattered pairs (BENCH_pair_reduction.json, "pair_layout").
 _RUN_MIN = 8
 
 
@@ -190,7 +191,9 @@ class ProjectionMoments:
     call returns only what its pairs need: ``paired_se`` has one entry per
     requested column pair, the standard error of the mean of the row-wise
     difference of the two columns, and ``se`` is None, as no per-column
-    second moment is formed.  ``n`` is the row count.
+    second moment is formed.  An unpaired call's means are corrected two-pass
+    means, exact on a constant column; a paired call's are the column sums
+    over ``n``, and may differ from them by a few ulps.  ``n`` is the row count.
     """
 
     mean: np.ndarray
@@ -373,12 +376,12 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
     Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values.  A second
     moment (M2) is formed only for the columns whose SE the call returns: every
     written column on a call without pairs, only the pair differences on a
-    paired call, whose written columns get block sums alone.  Per-block
-    (count, sums, mean, M2) summaries are merged pairwise (Chan, Golub &
-    LeVeque, 1983): no raw sums of squares are formed.  Pair differences are
-    taken by runs of columns (``_pair_layout``), and every row of a block is
-    summed with the same arithmetic, so bitwise-equal columns get bitwise-equal
-    results wherever they sit.
+    paired call, whose written columns get block sums alone and, as means,
+    their merged sums over n.  Per-block (count, sums, mean, M2) summaries are
+    merged pairwise (Chan, Golub & LeVeque, 1983): no raw sums of squares are
+    formed.  Pair differences are taken by runs of columns (``_pair_layout``),
+    and every row of a block is summed with the same arithmetic, so
+    bitwise-equal columns get bitwise-equal results wherever they sit.
     """
     sides = samples if isinstance(samples, tuple) else (samples,)
     n = sides[0].shape[0]
@@ -420,14 +423,15 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
             mean = sums[m2_from:] / r
             moment -= mean[:, None]
             # corrected two-pass step: the residual sum removes the rounding of
-            # the first mean, so a constant column gets its value and M2 = 0 exactly
+            # the first mean, so a constant column gets its value and M2 = 0
+            # exactly; on a paired call only the pair differences take this step
             resid = np.einsum("ij->i", moment)
             m2 = np.einsum("ij,ij->i", moment, moment) - resid * resid / r
             yield r, sums[:m2_from], mean + resid / r, np.maximum(m2, 0.0)
 
     _, sums, mean, m2 = _merge_pairwise(blocks(), _chan_merge)
     se = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros(m2.size)
-    if paired:  # the merged mean is the pair differences'; the written columns' come from their sums
+    if paired:  # the merged mean is the pair differences'; the written columns' are their sums over n
         mean = sums / n
     if guard is not None:
         guard.check(mean, n)

@@ -82,7 +82,7 @@ def column_functions(dirs, kind):
 
 @st.composite
 def paired_problems(draw):
-    """A problem with random column pairs, or one on an orbit with the pairs of a swap test.
+    """A problem with random column pairs, plus an orbit with the pairs of a swap test.
 
     The orbit {pi^-1 u} stacks m base rows and their images under p coordinate
     permutations; the swap pairs (tile(arange(m)), arange(m, (p + 1) m)) are
@@ -90,33 +90,36 @@ def paired_problems(draw):
     and one-column pairs ride along, and a stray pair may break the first run.
     """
     x, dirs, kind, rng = draw(problems())
-    if not draw(st.booleans()):
-        k = dirs.shape[0]
-        return x, dirs, kind, rng, rng.integers(0, k, size=5), rng.integers(0, k, size=5)
-    m, p = draw(st.integers(2, 3 * zonoid_mod._RUN_MIN // 2)), draw(st.integers(1, 3))
+    k = dirs.shape[0]
+    a, b = rng.integers(0, k, size=5), rng.integers(0, k, size=5)
+    m, p = draw(st.integers(2, 12)), draw(st.integers(1, 3))
     d = x.shape[1]
     base = rng.standard_normal((m, d))
-    dirs = np.vstack([base] + [base[:, rng.permutation(d)] for _ in range(p)])
-    a, b = np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)
+    orbit = np.vstack([base] + [base[:, rng.permutation(d)] for _ in range(p)])
+    oa, ob = np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)
     if draw(st.booleans()):
-        b[draw(st.integers(0, m - 2))] += 1  # offset m + 1 inside the run at offset m
-    dup, rev = rng.integers(0, a.size, size=2), rng.integers(0, a.size, size=2)
-    same = rng.integers(0, dirs.shape[0], size=2)
-    return x, dirs, kind, rng, np.r_[a, a[dup], b[rev], same], np.r_[b, b[dup], a[rev], same]
+        ob[draw(st.integers(0, m - 2))] += 1  # offset m + 1 inside the run at offset m
+    dup, rev = rng.integers(0, oa.size, size=2), rng.integers(0, oa.size, size=2)
+    same = rng.integers(0, orbit.shape[0], size=2)
+    orbit_pairs = np.r_[oa, oa[dup], ob[rev], same], np.r_[ob, ob[dup], oa[rev], same]
+    return x, dirs, kind, (a, b), (orbit, orbit_pairs)
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @settings(max_examples=40, deadline=None)
 @given(problem=paired_problems())
 def test_kernel_matches_two_pass_reference(block, problem):
-    x, dirs, kind, rng, a, b = problem
+    x, dirs, kind, (a, b), (orbit, (oa, ob)) = problem
     fns = column_functions(dirs, kind)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zonoid_mod, "BLOCK_ELEMENTS", block)
         mom = projection_moments(x, dirs, kind, pairs=(a, b))
         again = projection_moments(x, dirs, kind, pairs=(a, b))
         called = functional_moments(x, fns, pairs=(a, b))
+        on_orbit = projection_moments(x, orbit, kind, pairs=(oa, ob))
+        called_on_orbit = functional_moments(x, column_functions(orbit, kind), pairs=(oa, ob))
         plain = projection_moments(x, dirs, kind)
+        plain_again = projection_moments(x, dirs, kind)
         unpaired = functional_moments(x, fns)
     values = reference_values(x, dirs, kind)
     for got in (mom, called, plain, unpaired):
@@ -129,8 +132,16 @@ def test_kernel_matches_two_pass_reference(block, problem):
         assert got.se is None  # a paired call forms no per-column second moment
         assert_close(got.paired_se, reference_se(values[:, a] - values[:, b]), roundoff(values))
         assert np.all(got.paired_se[a == b] == 0.0)
+    orbit_values = reference_values(x, orbit, kind)
+    for got in (on_orbit, called_on_orbit):
+        assert got.n == x.shape[0] and got.se is None
+        assert_close(got.mean, orbit_values.mean(axis=0))
+        assert_close(got.paired_se, reference_se(orbit_values[:, oa] - orbit_values[:, ob]), roundoff(orbit_values))
+        assert np.all(got.paired_se[oa == ob] == 0.0)
     for field in ("mean", "paired_se"):
         assert getattr(again, field).tobytes() == getattr(mom, field).tobytes()
+    for field in ("mean", "se"):
+        assert getattr(plain_again, field).tobytes() == getattr(plain, field).tobytes()
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)

@@ -31,9 +31,10 @@ _GUARD_CHUNKS = (64, 4)  # chunk counts of the guard's small and big chunk means
 _GUARD_DENSE = 64  # nonzero values the first small chunk needs before growth is read
 _WEIGHTED_ROWS = 64  # direction rows per product on the exact (weighted) path
 # Pairs a run of consecutive columns at one offset needs to be subtracted as one
-# slice; shorter runs join the gather of the stray pairs.  Slicing every run
-# measured the same on the swap orbit, and twice the time of the gather on 400
-# scattered pairs (BENCH_pair_reduction.json, "pair_layout").
+# slice; shorter runs join the gather of the stray pairs.  On the swap orbit any
+# value from 1 to 32 measured the same, and gathering every pair 25% slower; on
+# scattered pairs, slicing every run took twice the time of one gather
+# (BENCH_pair_reduction.json, "pair_layout").
 _RUN_MIN = 8
 
 

@@ -20,7 +20,7 @@ from .errors import InternalConsistencyError
 from .laws import DiscreteLaw, measures_close, merge_atoms, permute_law, require_positive
 from .rng import as_rng, spawn_rngs
 from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, functional_moments,
-                     is_exact_law, projection_moments)
+                     is_exact_law, law_rows, matrix_rows, projection_moments)
 
 # A statistical score divides each delta by max(pooled SE, SE_FLOOR * max(|h_a|, |h_b|)).
 # The floor is far above the roundoff of a blocked mean and far below the SE
@@ -86,30 +86,32 @@ def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
 
 
 def _draw_pair(law_a, law_b, budget: int, rng):
-    """Samples of two laws of one dimension, and whether they are coupled.
+    """Row sources for samples of two laws of one dimension, and whether they are coupled.
 
-    Laws with the same kind of driver (``"normal"`` or ``"uniform"``) are drawn
-    from one shared driver, as common random numbers; any other pair is drawn
-    independently, a before b.
+    Laws with the same kind of driver (``"normal"`` or ``"uniform"``) share
+    one driver, chunk by chunk, as common random numbers: one source holds
+    both sides.  Any other pair gets one source per law, drawn independently
+    as it is read, a before b.
     """
     kind = law_a.driver_kind
-    if kind in ("normal", "uniform") and kind == law_b.driver_kind:
-        driver = rng.standard_normal((budget, law_a.dim)) if kind == "normal" else rng.random(budget)
-        return law_a.sample_with_driver(driver), law_b.sample_with_driver(driver), True
-    return law_a.sample(budget, rng), law_b.sample(budget, rng), False
+    if kind is not None and kind == law_b.driver_kind:
+        return (law_rows(budget, rng, law_a, law_b),), True
+    return (law_rows(budget, rng, law_a), law_rows(budget, rng, law_b)), False
 
 
-def _compare(reduce, k: int, side_a, side_b, paired: bool):
+def _compare(reduce, k: int, sides):
     """h_a, h_b and the standard error of h_a - h_b over k columns.
 
-    ``reduce(side, pairs=None)`` is a kernel front end.  Paired sides are
-    reduced in one call and get the SE of the row-wise difference; otherwise
-    each side is reduced alone and the two SEs add in quadrature.
+    ``reduce(side, pairs=None)`` is a kernel front end.  ``sides`` is one
+    source of both sides' coupled rows, reduced in one call, whose pairs get
+    the SE of the row-wise difference; or the two sides a and b, each reduced
+    alone, a first, and the two SEs add in quadrature.
     """
-    if paired:
-        mom = reduce((side_a, side_b), pairs=(np.arange(k), np.arange(k, 2 * k)))
+    if len(sides) == 1:
+        mom = reduce(sides[0], pairs=(np.arange(k), np.arange(k, 2 * k)))
         return mom.mean[:k], mom.mean[k:], mom.paired_se
-    mom_a, mom_b = reduce(side_a), reduce(side_b)
+    mom_a = reduce(sides[0])
+    mom_b = reduce(sides[1])
     return mom_a.mean, mom_b.mean, np.hypot(mom_a.se, mom_b.se)
 
 
@@ -156,8 +158,10 @@ def test_zonoid_equiv(
     """Compare support functions of two laws over a direction grid.
 
     ``samples_a``/``samples_b`` let a caller inject pre-drawn sample matrices;
-    ``samples_coupled`` marks them as pathwise-coupled so the difference is
-    standardized as a paired sample.
+    ``samples_coupled`` marks the two as pathwise-coupled so the difference is
+    standardized as a paired sample (when both are given, with one row count).
+    Sides without a given matrix are drawn as the kernel reads them
+    (``law_rows``), chunk by chunk for laws with a driver.
     """
     if law_a.dim != law_b.dim:
         raise ValueError(f"dimension mismatch: {law_a.dim} vs {law_b.dim}")
@@ -177,11 +181,12 @@ def test_zonoid_equiv(
     rng = as_rng(seed)
     crn = samples_coupled
     if not exact_a and not exact_b and samples_a is None and samples_b is None:
-        samples_a, samples_b, crn = _draw_pair(law_a, law_b, budget, rng)
-    if not exact_a and samples_a is None:
-        samples_a = law_a.sample(budget, rng)
-    if not exact_b and samples_b is None:
-        samples_b = law_b.sample(budget, rng)
+        sides, crn = _draw_pair(law_a, law_b, budget, rng)
+    elif crn and samples_a is not None and samples_b is not None and samples_a.shape[0] == samples_b.shape[0]:
+        sides = (matrix_rows(samples_a, samples_b),)
+    else:  # an exact side is its law; a sampled one is drawn as it is read, a before b
+        sides = tuple(law if exact else law_rows(budget, rng, law) if given is None else matrix_rows(given)
+                      for law, given, exact in ((law_a, samples_a, exact_a), (law_b, samples_b, exact_b)))
 
     def reduce(side, pairs=None):  # an exact side is its law, evaluated in closed form
         if is_exact_law(side):
@@ -189,9 +194,7 @@ def test_zonoid_equiv(
             return ProjectionMoments(h, np.zeros(h.size), np.zeros(0), 0)
         return projection_moments(side, dirs, kind, pairs=pairs)
 
-    paired = crn and not exact_a and not exact_b and samples_a.shape[0] == samples_b.shape[0]
-    h_a, h_b, pooled = _compare(reduce, len(grid), law_a if exact_a else samples_a,
-                                law_b if exact_b else samples_b, paired)
+    h_a, h_b, pooled = _compare(reduce, len(grid), sides)
     return _build_report(grid, h_a, h_b, pooled, "statistical", tau, crn, bonferroni)
 
 
@@ -306,7 +309,7 @@ def test_swap_invariance(
         mode, h, pooled = "exact", law.support(orbit), np.zeros(p * m)
     else:
         mode = "statistical"
-        mom = projection_moments(law.sample(budget, rng), orbit,
+        mom = projection_moments(law_rows(budget, rng, law), orbit,
                                  pairs=(np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)))
         h, pooled = mom.mean, mom.paired_se
     # all m x p comparisons in one pass; the report keeps the permutation of the first worst one
@@ -582,10 +585,10 @@ def test_even_homogeneous(
     for name, fn in functions:
         _spot_check_even_homogeneous(name, fn, d, checks)
 
-    sa, sb, crn = _draw_pair(law_a, law_b, budget, rng)
+    sides, crn = _draw_pair(law_a, law_b, budget, rng)
     fns = [fn for _, fn in functions]
     mean_a, mean_b, pooled = _compare(lambda s, pairs=None: functional_moments(s, fns, pairs=pairs),
-                                      len(fns), sa, sb, crn)
+                                      len(fns), sides)
     max_std = float(_scores(mean_a, mean_b, pooled, "statistical").max())
     return EvenHomogeneousReport(tuple(n for n, _ in functions), mean_a, mean_b, mean_a - mean_b, pooled,
                                  max_std, bool(max_std <= tau), tau, crn)

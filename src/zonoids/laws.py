@@ -3,8 +3,9 @@
 Every law is an immutable value object with a ``dim`` property and a
 ``sample(n, rng)`` method returning an ``(n, dim)`` array.  Laws driven by a
 standard source (normal or uniform) additionally expose ``driver_kind`` and
-``sample_with_driver`` so that two laws of the same family can be compared
-under common random numbers.  Each family carries its own ``is_positive``,
+``sample_with_driver``, and sample as ``sample_with_driver`` of
+``draw_driver``: two laws of the same driver kind can be compared under common
+random numbers, and a sample can be drawn in chunks of rows.  Each family carries its own ``is_positive``,
 ``is_symmetric``, ``permute``, ``transform``, ``lift`` and ``to_json``; the
 discrete and Gaussian families also carry their closed forms, ``support`` and
 ``cf``.  Sequence models carry ``prefix``, ``oracle`` and ``to_json``.
@@ -49,6 +50,15 @@ def gaussian_abs_moment(m: float, s: float) -> float:
 
 
 _folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
+
+
+def draw_driver(kind: str, n: int, dim: int, rng) -> np.ndarray:
+    """n rows of a standard driver: (n, dim) standard normals, or n uniforms on [0, 1).
+
+    Both are drawn element by element in stream order, so n rows drawn in
+    consecutive chunks are the n rows drawn at once.
+    """
+    return rng.standard_normal((n, dim)) if kind == "normal" else rng.random(n)
 
 
 def symmetrized_psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -154,7 +164,10 @@ class DiscreteLaw:
         atoms.flags.writeable = False
         weights = weights.copy()
         weights.flags.writeable = False
-        _freeze(self, atoms=atoms, weights=weights)
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0  # guard roundoff so u close to 1 stays in range
+        cum.flags.writeable = False
+        _freeze(self, atoms=atoms, weights=weights, _cum=cum)
 
     @property
     def dim(self) -> int:
@@ -163,13 +176,11 @@ class DiscreteLaw:
     driver_kind = "uniform"
 
     def sample(self, n: int, rng) -> np.ndarray:
-        return self.sample_with_driver(as_rng(rng).random(n))
+        return self.sample_with_driver(draw_driver(self.driver_kind, n, self.dim, as_rng(rng)))
 
     def sample_with_driver(self, u: np.ndarray) -> np.ndarray:
         """Atom i for each uniform u in [0, 1), where i counts the cdf values below u."""
-        cum = np.cumsum(self.weights)
-        cum[-1] = 1.0  # guard roundoff so u close to 1 stays in range
-        return self.atoms.take(_cdf_index(cum, u), axis=0)
+        return self.atoms.take(_cdf_index(self._cum, u), axis=0)
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
@@ -230,11 +241,11 @@ class GaussianLaw:
         if np.abs(cov - cov.T).max() > SYM_TOL:
             raise ValueError("cov must be symmetric within 1e-12")
         cov = 0.5 * (cov + cov.T)
-        # fail fast on indefinite input; the factor itself is recomputed lazily
-        symmetrized_psd_factor(cov)
+        factor = symmetrized_psd_factor(cov)  # fails fast on indefinite input
+        factor.flags.writeable = False
         cov = cov.copy()
         cov.flags.writeable = False
-        _freeze(self, mean_vec=mean, cov=cov)
+        _freeze(self, mean_vec=mean, cov=cov, _factor=factor)
 
     @property
     def dim(self) -> int:
@@ -243,10 +254,10 @@ class GaussianLaw:
     driver_kind = "normal"
 
     def sample(self, n: int, rng) -> np.ndarray:
-        return self.sample_with_driver(as_rng(rng).standard_normal((n, self.dim)))
+        return self.sample_with_driver(draw_driver(self.driver_kind, n, self.dim, as_rng(rng)))
 
     def sample_with_driver(self, z: np.ndarray) -> np.ndarray:
-        return self.mean_vec + z @ symmetrized_psd_factor(self.cov).T
+        return self.mean_vec + z @ self._factor.T
 
     def mean(self) -> np.ndarray:
         return self.mean_vec

@@ -8,16 +8,20 @@ samples through one blocked kernel, ``projection_moments``, which projects
 each block of sample rows onto every direction at once; the equivalence and
 swap testers share it.  ``grid_support`` and the ``support_*`` functions are views of it.
 The kernel's reduction core also takes callables (``functional_moments``).
+The kernel reads its rows from a ``RowSource``: laws with a standard driver
+are drawn chunk by chunk as the kernel reads them (``law_rows``), so memory
+does not grow with the budget; other laws and given matrices are held whole.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DiagnosticError
-from .laws import DiscreteLaw
+from .laws import DiscreteLaw, draw_driver
 from .rng import as_rng
 
 DEFAULT_BUDGET = 100_000
@@ -36,6 +40,14 @@ _WEIGHTED_ROWS = 64  # direction rows per product on the exact (weighted) path
 # scattered pairs, slicing every run took twice the time of one gather
 # (BENCH_pair_reduction.json, "pair_layout").
 _RUN_MIN = 8
+# Sampled rows reach the kernel in chunks of whole blocks, each of at least
+# this many rows; a shorter tail joins the chunk before it.  A law maps its
+# driver to its sample by a BLAS product, and a product of one row rounded most
+# of its rows apart from the one-shot product (BENCH_streaming.json,
+# "chunk_scan"); chunks from this floor up draw the one-shot rows bitwise
+# (tests/test_chunked_draws.py).  Floors from 64 to 65536 rows measured the
+# same time; this one holds about 3 MiB at the bench's largest job.
+_CHUNK_MIN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -170,10 +182,110 @@ def _guard_verdict(small: np.ndarray, big: np.ndarray, vmax: np.ndarray, total: 
         )
 
 
-def _sample_for(law, budget: int, seed) -> np.ndarray:
+def _seeded(seed) -> np.random.Generator:
     if seed is None:
         raise ValueError("a seed or generator is required for Monte Carlo support evaluation")
-    return law.sample(int(budget), as_rng(seed))
+    return as_rng(seed)
+
+
+# ---------------------------------------------------------------------------
+# row sources
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RowSource:
+    """The n rows of one sample, or of several samples coupled row by row, read once.
+
+    ``read(sizes)`` yields, for each chunk size r in turn, a tuple holding the
+    next r rows of each of the ``sides`` samples.
+    """
+
+    n: int
+    sides: int
+    read: Callable
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("every side needs the same, positive number of rows")
+
+    def map(self, fn) -> "RowSource":
+        """The same rows, with ``fn`` applied to each side's chunk as it is read."""
+        return RowSource(self.n, self.sides, lambda sizes: (tuple(fn(x) for x in c) for c in self.read(sizes)))
+
+    def blocks(self, rows: int):
+        """(first row, one array per side) for each block of ``rows`` rows, the last one shorter.
+
+        The source is read in chunks of whole blocks (``_chunk_sizes``), so
+        the blocks are those of the sample read at once.
+        """
+        start = 0
+        for chunk in self.read(_chunk_sizes(self.n, rows)):
+            for at in range(0, chunk[0].shape[0], rows):
+                block = tuple(x[at:at + rows] for x in chunk)
+                yield start, block
+                start += block[0].shape[0]
+
+
+def matrix_rows(*matrices: np.ndarray) -> RowSource:
+    """A source over whole (n, d) sample matrices, one per side, coupled row by row."""
+    n = matrices[0].shape[0]
+    if any(x.shape[0] != n for x in matrices):
+        raise ValueError("every side needs the same, positive number of rows")
+
+    def read(sizes):
+        start = 0
+        for r in sizes:
+            yield tuple(x[start:start + r] for x in matrices)
+            start += r
+
+    return RowSource(n, len(matrices), read)
+
+
+def law_rows(n: int, rng, *laws) -> RowSource:
+    """n rows of each law in ``laws``, drawn from ``rng`` as the source is read.
+
+    A law with a standard driver (``driver_kind``) draws it one chunk at a
+    time and maps it by ``sample_with_driver``, so its rows are bitwise those
+    of ``law.sample(n, rng)`` and never held whole; several such laws, of one
+    driver kind, share each driver chunk (common random numbers).  Any other
+    law keeps the whole sample, drawn at the first read.
+    """
+    kind = laws[0].driver_kind
+    if kind is None:
+        (law,) = laws  # only laws with a driver can be coupled
+        return RowSource(n, 1, lambda sizes: matrix_rows(law.sample(n, rng)).read(sizes))
+    dim = laws[0].dim
+
+    def read(sizes):
+        for r in sizes:
+            driver = draw_driver(kind, r, dim, rng)
+            yield tuple(law.sample_with_driver(driver) for law in laws)
+
+    return RowSource(n, len(laws), read)
+
+
+def _as_source(samples) -> RowSource:
+    """A row source as is; a sample matrix, or a tuple of coupled ones, as a ``matrix_rows`` source."""
+    if isinstance(samples, RowSource):
+        return samples
+    return matrix_rows(*samples) if isinstance(samples, tuple) else matrix_rows(samples)
+
+
+def _chunk_sizes(n: int, rows: int) -> list[int]:
+    """Row counts of the chunks in which n rows are read, for kernel blocks of ``rows`` rows.
+
+    Each chunk holds whole blocks and at least ``_CHUNK_MIN_ROWS`` rows, and a
+    tail below the floor joins the last chunk, so the blocks are those of a
+    sample read at once.
+    """
+    step = -(-_CHUNK_MIN_ROWS // rows) * rows
+    sizes = [step] * (n // step)
+    tail = n - step * len(sizes)
+    if sizes and tail < _CHUNK_MIN_ROWS:
+        sizes[-1] += tail
+    elif tail:
+        sizes.append(tail)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +472,10 @@ def _atom_block_sums(chunk: np.ndarray, atoms: np.ndarray, kind: str) -> np.ndar
     return values.sum(axis=0)
 
 
-def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoments:
+def _reduce_columns(source: RowSource, k: int, write, pairs, col=None) -> ProjectionMoments:
     """Means and standard errors of the columns that ``write`` produces.
 
-    ``samples`` is an (n, d) matrix or a tuple of coupled ones (common random
+    ``source`` holds the rows of one sample or of coupled ones (common random
     numbers); ``write(x, out)`` writes k columns for a block x of one side's
     rows, one row of ``out`` each, and the sides' columns follow one another.
     Results come back per caller's column; ``col`` maps a side's caller
@@ -374,23 +486,23 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
     integrability guard, from chunk sums and maxima, once n reaches
     ``_GUARD_MIN_ROWS``.
 
-    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values.  A second
-    moment (M2) is formed only for the columns whose SE the call returns: every
-    written column on a call without pairs, only the pair differences on a
-    paired call, whose written columns get block sums alone and, as means,
-    their merged sums over n.  Per-block (count, sums, mean, M2) summaries are
-    merged pairwise (Chan, Golub & LeVeque, 1983): no raw sums of squares are
-    formed.  Pair differences are taken by runs of columns (``_pair_layout``),
-    and every row of a block is summed with the same arithmetic, so
-    bitwise-equal columns get bitwise-equal results wherever they sit.
+    Rows are walked in blocks of about ``BLOCK_ELEMENTS`` values, read from
+    the source in chunks of whole blocks (``RowSource.blocks``): memory is set
+    by the chunk and the block, not by n, and the blocks are those of the
+    sample read at once.  A second moment (M2) is formed only for the columns whose SE
+    the call returns: every written column on a call without pairs, only the
+    pair differences on a paired call, whose written columns get block sums
+    alone and, as means, their merged sums over n.  Per-block (count, sums,
+    mean, M2) summaries are merged pairwise (Chan, Golub & LeVeque, 1983): no
+    raw sums of squares are formed.  Pair differences are taken by runs of
+    columns (``_pair_layout``), and every row of a block is summed with the
+    same arithmetic, so bitwise-equal columns get bitwise-equal results
+    wherever they sit.
     """
-    sides = samples if isinstance(samples, tuple) else (samples,)
-    n = sides[0].shape[0]
-    if n < 1 or any(x.shape[0] != n for x in sides):
-        raise ValueError("every side needs the same, positive number of rows")
+    n = source.n
     col = np.arange(k) if col is None else col
-    cols = (np.arange(len(sides))[:, None] * k + col).ravel()  # the written column of each caller's column
-    width = k * len(sides)
+    cols = (np.arange(source.sides)[:, None] * k + col).ravel()  # the written column of each caller's column
+    width = k * source.sides
     paired = pairs is not None
     a, b = (np.asarray(p, dtype=np.intp) for p in (pairs if paired else ((), ())))
     lo, hi = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
@@ -404,17 +516,16 @@ def _reduce_columns(samples, k: int, write, pairs, col=None) -> ProjectionMoment
     def blocks():
         # a block holds one row per column and one entry per sample row, so each
         # column's values are contiguous for the reductions
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            block = np.empty((total, stop - start))
+        for start, sides in source.blocks(rows):
+            r = sides[0].shape[0]
+            block = np.empty((total, r))
             values, diffs = block[:width], block[width:]
             for s, x in enumerate(sides):
-                write(x[start:stop], values[s * k:(s + 1) * k])
+                write(x, values[s * k:(s + 1) * k])
             for i, j, at in runs:
                 np.subtract(values[i], values[j], out=diffs[at])
             if ga.size:
                 np.subtract(values[ga], values[gb], out=diffs[diffs.shape[0] - ga.size:])
-            r = stop - start
             # row sums by einsum, which sums every row alike; a BLAS product
             # with ones rounds the last rows differently
             sums = np.einsum("ij->i", block)
@@ -447,8 +558,11 @@ def projection_moments(samples, directions, kind: str = "centred", *, pairs=None
     """Moments of f(<x, u>) over the rows x of a sample, for every direction u.
 
     f is |.| (``"centred"``), (.)_+ (``"noncentred"``) or the max functional
-    max(0, u_1 x_1, ..., u_d x_d) (``"max"``).  ``samples`` and ``pairs`` are
-    as for ``_reduce_columns``, with one column per direction and side.
+    max(0, u_1 x_1, ..., u_d x_d) (``"max"``).  ``samples`` is a
+    ``RowSource``, an (n, d) matrix or a tuple of coupled ones; it and
+    ``pairs`` are as for ``_reduce_columns``, with one column per direction
+    and side.  A source from ``law_rows`` is drawn chunk by chunk as it is
+    reduced, so the call holds a chunk and a block of rows, not the sample.
 
     A sample is projected once per distinct direction, one matrix product per
     side and block: bitwise-equal rows share one column, and so, for the even
@@ -459,7 +573,8 @@ def projection_moments(samples, directions, kind: str = "centred", *, pairs=None
         raise ValueError(f"unknown support kind {kind!r}")
     dirs = np.asarray(directions, dtype=float)
     dirs, col = _distinct_rows(_fold(dirs) if kind == "centred" else dirs)
-    return _reduce_columns(samples, dirs.shape[0], lambda x, out: _project(x, dirs, kind, out), pairs, col)
+    return _reduce_columns(_as_source(samples), dirs.shape[0], lambda x, out: _project(x, dirs, kind, out),
+                           pairs, col)
 
 
 def functional_moments(samples, functions, *, pairs=None) -> ProjectionMoments:
@@ -467,14 +582,14 @@ def functional_moments(samples, functions, *, pairs=None) -> ProjectionMoments:
 
     Each f maps an (r, d) block of rows to r nonnegative values (the guard
     weighs a column's largest value against its sum).  ``samples`` and
-    ``pairs`` are as for ``_reduce_columns``, with one column per function and
-    side.
+    ``pairs`` are as for ``projection_moments``, with one column per function
+    and side.
     """
     def write(x, out):
         for j, f in enumerate(functions):
             out[j] = f(x)
 
-    return _reduce_columns(samples, len(functions), write, pairs)
+    return _reduce_columns(_as_source(samples), len(functions), write, pairs)
 
 
 def is_exact_law(law) -> bool:
@@ -488,8 +603,11 @@ def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUD
 
     ``kind`` is a kernel functional or ``"lift"``: the lift-zonoid support
     h(k, u) = E(k + <u, xi>)_+ is the non-centred support of (1, xi) at (k, u),
-    so its rows are (k, u) in R^{d+1}.  Exact laws are lifted by ``law.lift()``; a
-    sample of xi gets a column of ones in front.
+    so its rows are (k, u) in R^{d+1}.  Exact laws are lifted by ``law.lift()``.
+    Otherwise the rows come from ``samples`` (a matrix, held whole) or from
+    ``budget`` draws of the law (``law_rows``: chunk by chunk for a law with a
+    driver), and each chunk is checked for negativity (max kind) or gets a
+    column of ones in front (lift) as the kernel reads it.
     """
     dirs = np.asarray(directions, dtype=float)
     lift = kind == "lift"
@@ -502,14 +620,19 @@ def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUD
         return [SupportEstimate(float(h), 0.0, 0, True) for h in values]
     if kind == "max" and law.is_positive() is False:
         raise ValueError("max-zonoid support requires a positive law")
-    if samples is None:
-        samples = _sample_for(law, budget, seed)
-    if kind == "max" and samples.min() < -1e-12:
-        raise DiagnosticError("sampled negativity beyond tolerance in a max-zonoid evaluation")
+    source = matrix_rows(samples) if samples is not None else law_rows(int(budget), _seeded(seed), law)
+    if kind == "max":
+        source = source.map(_nonnegative)
     if lift:
-        samples = np.column_stack([np.ones(samples.shape[0]), samples])
-    mom = projection_moments(samples, dirs, kind)
+        source = source.map(lambda x: np.column_stack([np.ones(x.shape[0]), x]))
+    mom = projection_moments(source, dirs, kind)
     return [SupportEstimate(float(h), float(se), mom.n, False) for h, se in zip(mom.mean, mom.se)]
+
+
+def _nonnegative(x: np.ndarray) -> np.ndarray:
+    if x.min() < -1e-12:
+        raise DiagnosticError("sampled negativity beyond tolerance in a max-zonoid evaluation")
+    return x
 
 
 def grid_support(law, grid: DirectionGrid, kind: str = "centred", budget: int = DEFAULT_BUDGET,
@@ -660,7 +783,7 @@ def mean_width_check(law, nodes: int = 10_000, budget: int = DEFAULT_BUDGET, see
     if isinstance(law, DiscreteLaw):  # exact: a weighted sum over the atoms
         enorm, enorm_se = float(law.weights @ np.linalg.norm(law.atoms, axis=1)), 0.0
     else:
-        samples = _sample_for(law, budget, seed)
+        samples = law.sample(int(budget), _seeded(seed))  # held whole: both integrals read it
         mom = functional_moments(samples, [lambda x: np.linalg.norm(x, axis=1)])
         enorm, enorm_se = float(mom.mean[0]), float(mom.se[0])
     hvals = law.support(pts) if is_exact_law(law) else projection_moments(samples, pts).mean

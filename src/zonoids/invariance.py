@@ -110,8 +110,7 @@ def _compare(reduce, k: int, sides):
     if len(sides) == 1:
         mom = reduce(sides[0], pairs=(np.arange(k), np.arange(k, 2 * k)))
         return mom.mean[:k], mom.mean[k:], mom.paired_se
-    mom_a = reduce(sides[0])
-    mom_b = reduce(sides[1])
+    mom_a, mom_b = reduce(sides[0]), reduce(sides[1])
     return mom_a.mean, mom_b.mean, np.hypot(mom_a.se, mom_b.se)
 
 

@@ -5,10 +5,11 @@ Every law is an immutable value object with a ``dim`` property and a
 standard source (normal or uniform) additionally expose ``driver_kind`` and
 ``sample_with_driver``, and sample as ``sample_with_driver`` of
 ``draw_driver``: two laws of the same driver kind can be compared under common
-random numbers, and a sample can be drawn in chunks of rows.  Each family carries its own ``is_positive``,
-``is_symmetric``, ``permute``, ``transform``, ``lift`` and ``to_json``; the
-discrete and Gaussian families also carry their closed forms, ``support`` and
-``cf``.  Sequence models carry ``prefix``, ``oracle`` and ``to_json``.
+random numbers, and a sample can be drawn in chunks of rows.  Each family
+carries its own ``is_positive``, ``is_symmetric``, ``permute``, ``transform``,
+``lift`` and ``to_json``; the discrete and Gaussian families also carry their
+closed forms, ``support`` and ``cf``.  Sequence models carry ``prefix``,
+``oracle`` and ``to_json``.
 """
 from __future__ import annotations
 

@@ -512,13 +512,16 @@ def _reduce_columns(source: RowSource, k: int, write, pairs, col=None) -> Projec
     m2_from = width if paired else 0  # the block rows whose SE the call returns
     rows = max(1, BLOCK_ELEMENTS // total)
     guard = _GuardStats(n, width) if n >= _GUARD_MIN_ROWS else None
+    # every block is written into this one buffer: a fresh array of a block's
+    # size per block is mapped and unmapped by malloc, and page-faults each time
+    buf = np.empty(total * min(rows, n))
 
     def blocks():
         # a block holds one row per column and one entry per sample row, so each
         # column's values are contiguous for the reductions
         for start, sides in source.blocks(rows):
             r = sides[0].shape[0]
-            block = np.empty((total, r))
+            block = buf[:total * r].reshape(total, r)
             values, diffs = block[:width], block[width:]
             for s, x in enumerate(sides):
                 write(x, values[s * k:(s + 1) * k])

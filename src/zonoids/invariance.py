@@ -27,6 +27,8 @@ from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments
 # that any budget up to 1e8 produces, so it only stops a roundoff delta over a
 # roundoff SE from reading as a discrepancy.
 SE_FLOOR = 1e-13
+# Scores within this relative distance of the maximum tie for the reported worst index.
+_TIE_RTOL = 1e-12
 
 __all__ = [
     "EquivalenceReport",
@@ -128,12 +130,14 @@ def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=Non
     """Report over the grid; a statistical verdict spreads the level over ``comparisons`` (default: the grid)."""
     h_a, h_b, pooled = map(np.asarray, (h_a, h_b, pooled))
     score = _scores(h_a, h_b, pooled, mode)
-    worst = int(score.argmax())
+    top = score.max()
+    # the first tied index, so that ulp-level changes to tied scores keep the reported direction
+    worst = int(np.argmax(score >= top * (1.0 - _TIE_RTOL)))
     if mode == "exact":
-        verdict = bool(score[worst] <= EXACT_TOL)
+        verdict = bool(top <= EXACT_TOL)
         max_std = 0.0 if verdict else math.inf  # an exact delta has SE 0
     else:
-        max_std = float(score[worst])
+        max_std = float(top)
         verdict = bool(max_std <= effective_tau(tau, comparisons or len(grid), bonferroni))
     return EquivalenceReport(
         grid, h_a, h_b, h_a - h_b, pooled, max_std, worst, verdict, mode, tau, crn, extras or {}

@@ -276,6 +276,17 @@ def test_locscale_recover_command(tmp_path):
                 "--seed", "1", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "1"])
+def test_locscale_recover_refuses_a_budget_below_two(tmp_path, capsys, budget):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"schema": 1, "kind": "normal"}))
+    out = tmp_path / "rec.json"
+    assert run(["locscale-recover", "--base", base, "--target-mean", "0", "--target-pos-mean", "0.4",
+                "--budget", budget, "--seed", "1", "--out", out]) == 2
+    assert "budget must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zonotope_and_mean_width_commands(tmp_path, capsys):
     law = tmp_path / "law.json"
     law.write_text(json.dumps({"schema": 1, "type": "discrete",
@@ -378,13 +389,44 @@ def test_bonferroni_flag_reaches_the_tester(monkeypatch, tmp_path, command, test
     assert seen["bonferroni"] is flag
 
 
-def test_import_does_not_load_scipy():
+_WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import zonoids
+from zonoids.cli import main
+from zonoids.laws import gbm_process
+from zonoids.lepage import stationarity_cross_check
+
+law, out = sys.argv[1:]
+assert main(["zonotope", "--law", law, "--out", out]) == 0
+rep = stationarity_cross_check(gbm_process(True), (0.0, 1.0), (2.0,), n_terms=50, paths=500,
+                               budget=20_000, seed=3)
+assert all(0.0 <= p <= 1.0 for p in rep.per_shift_min_p), rep
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
     import subprocess
     import sys
 
-    code = "import sys, zonoids, zonoids.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"schema": 1, "type": "discrete",
+                               "atoms": [[1, 0], [0, 2]], "weights": [0.5, 0.5]}))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(law), str(tmp_path / "z.json")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert load(tmp_path / "z.json")["result"]["vertices"]["rows"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

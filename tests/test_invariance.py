@@ -510,3 +510,15 @@ def test_se_floor_silences_a_near_axis_roundoff_delta():
     for j in roundoff:
         one = compare(DirectionGrid(grid.directions[[j]]))
         assert one.max_standardized < 1.0 and one.verdict
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_worst_index_is_the_first_of_scores_tied_to_a_relative_1e_12(order):
+    from zonoids.invariance import _build_report
+
+    tied = (7.0, 7.0 * (1.0 + 1e-15))
+    scores = np.array([1.0, tied[order[0]], tied[order[1]], 3.0, 7.0 * (1.0 - 1e-11)])
+    rep = _build_report(DirectionGrid.circle(5), scores, np.zeros(5), np.ones(5), "statistical",
+                        3.0, False, False)
+    assert rep.worst_index == 1
+    assert rep.max_standardized == max(tied) and not rep.verdict

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from zonoids.laws import (
 from zonoids.lepage import (
     CFReport,
     LePageConfig,
+    _ks_2samp,
     cf_check,
     simulate_lepage,
     stationarity_cross_check,
@@ -204,3 +207,45 @@ def test_cf_check_draws_the_support_sample_once():
     # E|<u, Z>| = |u| sqrt(2 / pi) for a standard normal Z
     truth = np.exp(-0.5 * math.pi * np.linalg.norm(us, axis=1) * math.sqrt(2.0 / math.pi))
     assert np.allclose(rep.predicted, truth, atol=0.05)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_ks_2samp_matches_scipy(tied):
+    rng = as_rng(0)
+    for n in [*range(1, 201), 500, 1_000, 3_000, 4_000, 8_000, 10_000]:
+        if tied:
+            x, y = rng.integers(0, 5, n).astype(float), rng.integers(0, 5, n).astype(float)
+        else:
+            x, y = rng.standard_normal(n), rng.standard_normal(n) + 0.1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = ks_2samp(x, y)
+        d, p = _ks_2samp(x, y)
+        assert d == ref.statistic, n
+        if any(issubclass(w.category, RuntimeWarning) for w in caught):
+            # scipy's exact sum rounded above 1, so the exact value is 1; scipy's asymptotic
+            # fallback can read lower (0.99996 at n = 7 with continuous data and D = 1/7)
+            assert p == 1.0 and ref.pvalue > 0.999, (n, ref.pvalue)
+        else:
+            assert p == ref.pvalue, n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ks_2samp_pvalue_is_the_lattice_path_probability(n):
+    # every arrangement of n x's and n y's in pooled order is equally likely under the null
+    gaps = []
+    for xs in itertools.combinations(range(2 * n), n):
+        walk = np.cumsum(np.where(np.isin(np.arange(2 * n), xs), 1, -1))
+        gaps.append(int(np.abs(walk).max()))
+    gaps = np.array(gaps)
+    x = np.arange(n, dtype=float)
+    for h in range(1, n + 1):
+        d, p = _ks_2samp(x, x + h - 0.5)  # the counts part by h just below x = h
+        assert d == h / n
+        assert p == pytest.approx((gaps >= h).mean(), rel=1e-13, abs=1e-15)
+
+
+def test_ks_2samp_refuses_unequal_sizes():
+    with pytest.raises(ValueError, match="equal sizes"):
+        _ks_2samp(np.zeros(3), np.zeros(4))
+    assert _ks_2samp(np.ones(4), np.ones(4)) == (0.0, 1.0)

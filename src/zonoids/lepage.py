@@ -164,8 +164,9 @@ def _ks_2samp(x, y) -> tuple[float, float]:
     D = h / n, where h is the largest gap between the two empirical counts at
     the pooled values.  The p-value P(D_{n,n} >= D) is Hodges' lattice-path sum
     (Ark. Mat. 1958) in Horner form, P = 2 A_0 (1 - A_1 (1 - A_2 (1 - ...))),
-    taken in the operation order of scipy's exact ``ks_2samp`` so that the two
-    agree bit for bit; a sum that rounds above 1 is clipped to 1.
+    taken in the operation order of the reference ``ks_2samp`` in its exact
+    mode, so that the two agree bit for bit; a sum that rounds above 1 is
+    clipped to 1.
     """
     x, y = np.sort(x), np.sort(y)
     n = len(x)
@@ -219,9 +220,10 @@ def stationarity_cross_check(
     simulates the induced stable (sum) or max-stable (max) vectors before and
     after the shift and compares their empirical distributions with
     two-sample KS tests on random projections (Bonferroni across projections).
-    The KS p-values are exact at every path count: up to 10,000 paths they
-    equal scipy's ``ks_2samp``; above, where scipy switches to its asymptotic
-    formula, they stay exact and may differ from scipy's in the third digit.
+    The KS p-values are exact at every path count.  Up to 10,000 paths they
+    equal the reference ``ks_2samp``'s; above, where ``ks_2samp`` switches to
+    its asymptotic formula by default, they stay exact and may differ from it
+    in the third digit.
     """
     times = [float(t) for t in times]
     shifts = [float(s) for s in shifts]

@@ -342,7 +342,7 @@ def recover_location_scale(base: ScalarBase, zonoid_mean: float, zonoid_pos_mean
     if not target > max(mu, 0.0):
         raise ValueError("E(xi)_+ must exceed max(E xi, 0) for an unbounded base")
     if budget < 2:
-        raise ValueError(f"budget must be >= 2, got {budget}: a recentred sample of one row is constant")
+        raise ValueError(f"budget must be >= 2, got {budget}")  # a recentred single row is constant
     x = base.sample(int(budget), as_rng(seed))
     x = x - x.mean()
 

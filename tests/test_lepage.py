@@ -239,8 +239,9 @@ def test_ks_2samp_pvalue_is_the_lattice_path_probability(n):
         gaps.append(int(np.abs(walk).max()))
     gaps = np.array(gaps)
     x = np.arange(n, dtype=float)
+    assert _ks_2samp(x, x) == (0.0, 1.0)
     for h in range(1, n + 1):
-        d, p = _ks_2samp(x, x + h - 0.5)  # the counts part by h just below x = h
+        d, p = _ks_2samp(x, x + h - 0.5)  # at x = h - 1 the x count leads the y count by h
         assert d == h / n
         assert p == pytest.approx((gaps >= h).mean(), rel=1e-13, abs=1e-15)
 
@@ -248,4 +249,3 @@ def test_ks_2samp_pvalue_is_the_lattice_path_probability(n):
 def test_ks_2samp_refuses_unequal_sizes():
     with pytest.raises(ValueError, match="equal sizes"):
         _ks_2samp(np.zeros(3), np.zeros(4))
-    assert _ks_2samp(np.ones(4), np.ones(4)) == (0.0, 1.0)

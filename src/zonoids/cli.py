@@ -35,6 +35,7 @@ identical runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -395,14 +396,17 @@ def _cmd_mean_width(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = False, grid: bool = False):
+def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = False, grid: bool = False,
+                workers: bool = False):
     p.add_argument("--out", required=True, help="output path for the JSON report")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="inline tables (json) or CSV attachments (csv)")
     p.add_argument("--seed", type=int, required=seed_required, default=None,
                    help="RNG seed (explicit seeds only; no environment fallback)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size for path-parallel work")
+    if workers:
+        # only the path-parallel commands take it: every option enters the config hash
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="worker pool size for path-parallel work")
     if budget:
         p.add_argument("--budget", type=lambda s: int(float(s)), default=100_000,
                        help="Monte Carlo samples per comparison")
@@ -414,7 +418,9 @@ def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = Fals
         p.add_argument("--grid", default="default", help="direction grid spec")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call; do not modify it."""
     parser = argparse.ArgumentParser(prog="zonoids", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -487,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=lambda s: int(float(s)), default=1_000)
     p.add_argument("--bound", type=float, default=None,
                    help="declared upper bound on mark coordinates (max-mode early exit)")
-    _add_common(p, seed_required=True, budget=False)
+    _add_common(p, seed_required=True, budget=False, workers=True)
     p.set_defaults(func=_cmd_lepage)
 
     p = sub.add_parser("cf-identity", help="empirical CF of the 1-stable series vs its closed form")
@@ -497,14 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=lambda s: int(float(s)), default=100_000)
     p.add_argument("--threshold", type=float, default=None,
                    help="fail (exit 1) when the sup discrepancy exceeds this")
-    _add_common(p, seed_required=True)
+    _add_common(p, seed_required=True, workers=True)
     p.set_defaults(func=_cmd_cf_identity)
 
     p = sub.add_parser("ergodic", help="running averages of a swap-invariant sequence")
     p.add_argument("--model", required=True)
     p.add_argument("--checkpoints", default="100,1000,10000,100000")
     p.add_argument("--paths", type=int, default=50)
-    _add_common(p, seed_required=True, budget=False)
+    _add_common(p, seed_required=True, budget=False, workers=True)
     p.set_defaults(func=_cmd_ergodic)
 
     p = sub.add_parser("locscale-recover", help="recover location and scale from zonoid data")

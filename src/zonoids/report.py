@@ -2,8 +2,8 @@
 
 JSON output is deterministic for a fixed configuration and seed: keys are
 sorted and floats use Python's shortest round-trip representation, so a report
-parses back to bit-identical numbers.  The manifest timestamp is the single
-intentionally non-deterministic field.
+parses back to bit-identical numbers; a non-finite float is a quoted string.
+The manifest timestamp is the single intentionally non-deterministic field.
 """
 from __future__ import annotations
 
@@ -11,31 +11,68 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import platform
 import sys
 
 import numpy as np
 
+_escape = json.encoder.encode_basestring_ascii
 
-def _plain(obj):
-    """Recursively convert to JSON-serializable plain Python values."""
+
+def _sequence(seq, nl: str) -> str:
+    if not seq:
+        return "[]"
+    inner = nl + "  "
+    if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
+        items = map(float.__repr__, seq)  # a table row or a float array: one join, no recursion
+    else:
+        items = (_encode(v, inner) for v in seq)
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _encode(obj, nl: str) -> str:
+    """JSON text of ``obj``; ``nl`` is a newline plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        return _escape(obj)
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + inner + ("," + inner).join(
+            f"{_escape(k)}: {_encode(v, inner)}" for k, v in items) + nl + "}"
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return _sequence(obj, nl)
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return _sequence(obj.tolist(), nl)
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _encode(obj.item(), nl)
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
+        return _encode({"im": obj.imag, "re": obj.real}, nl)
+    if isinstance(obj, float):  # a non-finite value is its quoted repr: "inf", "-inf" or "nan"
+        return float.__repr__(obj) if math.isfinite(obj) else f'"{float.__repr__(obj)}"'
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def json_dumps(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2)
+    """Canonical JSON text: keys sorted, two-space indent, ASCII-escaped strings.
+
+    Arrays are written as nested lists, numpy scalars as their Python values and
+    complex numbers as ``{"im", "re"}``; every non-finite float, whatever its type,
+    is a quoted string, so strict JSON parsers read every report.  Apart from that
+    quoting the text is ``json.dumps(obj, sort_keys=True, indent=2)`` of the
+    plain-Python document.
+    """
+    return _encode(obj, "\n")
 
 
 def config_hash(config: dict) -> str:

@@ -1,12 +1,29 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
+from test_report import reference_dumps
 
+import zonoids.cli as cli
+import zonoids.report as report_mod
 from zonoids.cli import main
 from zonoids.laws import law_from_json
+
+
+@pytest.fixture(autouse=True)
+def reports_are_the_reference_encoding(monkeypatch):
+    """Every report a command here writes holds the reference encoding of its document."""
+    real = report_mod.write_json
+
+    def checked(path, doc):
+        real(path, doc)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == reference_dumps(doc) + "\n"
+
+    monkeypatch.setattr(report_mod, "write_json", checked)
 
 
 @pytest.fixture
@@ -26,6 +43,10 @@ def run(args):
 
 def load(path):
     return json.loads(path.read_text())
+
+
+def strip_timestamp(text):
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
 
 
 def test_equiv_pass_and_fail_exit_codes(lognormal_pair, tmp_path):
@@ -52,8 +73,7 @@ def test_report_is_deterministic_modulo_timestamp(lognormal_pair, tmp_path):
     for out in (out1, out2):
         assert run(["equiv", "--law-a", a, "--law-b", b, "--grid", "16",
                     "--budget", "1e4", "--tau", "3", "--seed", "3", "--out", out]) == 0
-    strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
-    assert strip(out1.read_text()) == strip(out2.read_text())
+    assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
 
 
 def test_report_embeds_round_trippable_law(lognormal_pair, tmp_path):
@@ -439,3 +459,70 @@ def test_integer_grid_is_the_default_construction_with_that_smooth_count(d):
     assert grid.construction == "default:40+axes"
     assert np.array_equal(grid.directions, np.vstack([smooth, extra]))
     assert DirectionGrid.default(d, 5).construction == ("axes:1d" if d == 1 else f"default:{d}d")
+
+
+_COMMANDS = ("support", "equiv", "swap", "lift-swap", "stationarity", "levy-check", "lognormal-check",
+             "elliptical-check", "cf-check", "lepage", "cf-identity", "ergodic", "locscale-recover", "zonotope",
+             "mean-width")
+
+
+def test_workers_is_offered_only_by_the_path_parallel_commands(capsys):
+    assert main(["--help"]) == 0
+    assert "{" + ",".join(_COMMANDS) + "}" in capsys.readouterr().out
+    offered = set()
+    for command in _COMMANDS:
+        assert main([command, "--help"]) == 0
+        if "--workers" in capsys.readouterr().out:
+            offered.add(command)
+    assert offered == {"lepage", "cf-identity", "ergodic"}
+
+
+def test_config_hash_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    # the --workers default is the core count, and every option enters the hash
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"schema": 1, "type": "discrete", "atoms": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}))
+    hashes = set()
+    try:
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            cli.build_parser.cache_clear()
+            out = tmp_path / f"z{cores}.json"
+            assert run(["zonotope", "--law", law, "--out", out]) == 0
+            hashes.add(load(out)["manifest"]["config_hash"])
+            assert run(["zonotope", "--law", law, "--workers", "2", "--out", out]) == 2
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(hashes) == 1
+
+
+def test_commands_in_one_process_match_each_run_first(tmp_path, lognormal_pair):
+    # main reuses one parser: no call may leave a default or a flag behind for the next
+    from zonoids.laws import dacunha_prefix_law
+
+    dac4, plane, bad = tmp_path / "dac4.json", tmp_path / "plane.json", tmp_path / "bad.json"
+    dac4.write_text(json.dumps(dacunha_prefix_law(4).to_json()))
+    plane.write_text(json.dumps({"schema": 1, "type": "discrete", "atoms": [[1.0, -0.5], [-0.3, 2.0]],
+                                 "weights": [0.4, 0.6]}))
+    bad.write_text(json.dumps({"schema": 1, "type": "lognormal", "mean": [0.0, 0.0], "cov": [[1, 0], [0, 1]]}))
+    commands = {
+        "swap": ["swap", "--law", dac4, "--grid", "16", "--bonferroni", "--seed", "1"],
+        "support": ["support", "--law", plane, "--kind", "lift", "--k", "0.5", "--grid", "8"],
+        "lognormal-check": ["lognormal-check", "--a", lognormal_pair[0], "--b", bad],
+        "swap-default": ["swap", "--law", dac4, "--seed", "2"],
+    }
+
+    def call(name):
+        out = tmp_path / f"{name}.json"
+        code = run([*commands[name], "--out", out])
+        return code, strip_timestamp(out.read_text())
+
+    first = {}
+    for name in commands:
+        cli.build_parser.cache_clear()
+        first[name] = call(name)
+    assert [code for code, _ in first.values()] == [0, 0, 1, 0]
+    cli.build_parser.cache_clear()
+    for order in (list(commands), list(reversed(commands))):
+        for name in order:
+            assert main(["swap", "--no-such-flag"]) == 2
+            assert call(name) == first[name], name

@@ -103,6 +103,11 @@ def _build_grid(spec: str, d: int, seed) -> DirectionGrid:
     return DirectionGrid(np.asarray(doc["directions"], dtype=float))
 
 
+def _grid_inputs(grid: DirectionGrid) -> dict:
+    """The directions of a grid read from a file, for the report's inputs; a named grid is its spec."""
+    return {"grid": {"directions": grid.directions}} if grid.construction == "user-supplied" else {}
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -123,12 +128,18 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+# Options the config hash leaves out: where the report lands and how it is laid
+# out do not change what was computed, and neither does the worker count.
+_UNHASHED = frozenset({"func", "out", "format", "workers"})
+
+
 def _emit(args, command: str, inputs: dict, result: dict, tables: dict | None = None) -> None:
     """Write the JSON report (and CSV attachments for --format csv)."""
-    # hash the computational configuration only: where the report lands does
-    # not change what was computed
-    config = {"command": command,
-              **{k: v for k, v in vars(args).items() if k not in ("func", "out", "format")}}
+    # hash the computational configuration: the loaded input documents and the
+    # other options.  An option recorded in ``inputs`` is hashed there, so an
+    # input file's path drops out while its document stays in.
+    config = {"command": command, "inputs": inputs,
+              **{k: v for k, v in vars(args).items() if k not in inputs and k not in _UNHASHED}}
     doc = {
         "schema": 1,
         "command": command,
@@ -177,7 +188,7 @@ def _cmd_support(args) -> int:
         "grid_size": len(grid),
         "exact": all(e.exact for e in ests),
     }
-    _emit(args, "support", {"law": law.to_json()}, result,
+    _emit(args, "support", {"law": law.to_json(), **_grid_inputs(grid)}, result,
           {"estimates": (report_mod.support_table_header(grid.dim), rows)})
     return 0
 
@@ -187,7 +198,8 @@ def _cmd_equiv(args) -> int:
     grid = _build_grid(args.grid, law_a.dim, args.seed)
     report = test_zonoid_equiv(law_a, law_b, grid, _check_budget(args.budget), _check_tau(args.tau),
                                args.seed, bonferroni=args.bonferroni)
-    return _emit_equiv(args, "equiv", {"law_a": law_a.to_json(), "law_b": law_b.to_json()}, report)
+    return _emit_equiv(args, "equiv", {"law_a": law_a.to_json(), "law_b": law_b.to_json(), **_grid_inputs(grid)},
+                       report)
 
 
 def _cmd_swap(args) -> int:
@@ -196,7 +208,7 @@ def _cmd_swap(args) -> int:
     perms = "all" if args.perms == "all" else int(args.perms)
     report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                   bonferroni=args.bonferroni)
-    return _emit_equiv(args, "swap", {"law": law.to_json()}, report)
+    return _emit_equiv(args, "swap", {"law": law.to_json(), **_grid_inputs(grid)}, report)
 
 
 def _cmd_lift_swap(args) -> int:
@@ -204,7 +216,7 @@ def _cmd_lift_swap(args) -> int:
     grid = _build_grid(args.grid, law.dim + 1, args.seed)
     report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                        bonferroni=args.bonferroni)
-    return _emit_equiv(args, "lift-swap", {"law": law.to_json()}, report)
+    return _emit_equiv(args, "lift-swap", {"law": law.to_json(), **_grid_inputs(grid)}, report)
 
 
 def _cmd_stationarity(args) -> int:
@@ -215,7 +227,8 @@ def _cmd_stationarity(args) -> int:
                                       _check_budget(args.budget), _check_tau(args.tau), args.seed,
                                       bonferroni=args.bonferroni)
     return _emit_equiv(args, "stationarity",
-                       {"process": process_to_json(process), "times": times, "shift": args.shift}, report)
+                       {"process": process_to_json(process), "times": times, "shift": args.shift,
+                        **_grid_inputs(grid)}, report)
 
 
 def _cmd_levy_check(args) -> int:

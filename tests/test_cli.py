@@ -526,3 +526,98 @@ def test_commands_in_one_process_match_each_run_first(tmp_path, lognormal_pair):
         for name in order:
             assert main(["swap", "--no-such-flag"]) == 2
             assert call(name) == first[name], name
+
+
+_PLANE = {"schema": 1, "type": "discrete", "atoms": [[1.0, 0.5], [0.5, 1.0]], "weights": [0.5, 0.5]}
+_LOGNORMAL = {"schema": 1, "type": "lognormal", "mean": [-0.5, -0.5], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+_GAUSSIAN = {"schema": 1, "type": "gaussian", "mean": [-0.5, -0.5], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+_ELLIPTICAL = {"schema": 1, "type": "elliptical", "radial": {"kind": "constant", "value": 1.0},
+               "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+_TRIPLET = {"schema": 1, "A": [[1.0, 0.0], [0.0, 1.0]], "nu": [], "b": [-0.5, -0.5]}
+_GRID = {"schema": 1, "directions": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]}
+_RADEMACHER = {"schema": 1, "type": "discrete", "atoms": [[-1.0], [1.0]], "weights": [0.5, 0.5]}
+# every command once, reading each input from a file: (files, argv with file names)
+_FILE_COMMANDS = {
+    "support": ({"law.json": _PLANE, "grid.json": _GRID}, ["support", "--law", "law.json", "--grid", "grid.json"]),
+    "equiv": ({"a.json": _PLANE, "b.json": _PLANE},
+              ["equiv", "--law-a", "a.json", "--law-b", "b.json", "--grid", "8", "--seed", "1"]),
+    "swap": ({"law.json": _PLANE, "grid.json": _GRID},
+             ["swap", "--law", "law.json", "--grid", "grid.json", "--seed", "1"]),
+    "lift-swap": ({"law.json": _PLANE}, ["lift-swap", "--law", "law.json", "--grid", "8", "--seed", "1"]),
+    "stationarity": ({"proc.json": {"schema": 1, "type": "gbm", "drift_correction": True}},
+                     ["stationarity", "--process", "proc.json", "--times", "0,1", "--shift", "2",
+                      "--budget", "1e3", "--grid", "8", "--seed", "9"]),
+    "levy-check": ({"t1.json": _TRIPLET, "t2.json": _TRIPLET}, ["levy-check", "--a", "t1.json", "--b", "t2.json"]),
+    "lognormal-check": ({"a.json": _LOGNORMAL, "b.json": _LOGNORMAL},
+                        ["lognormal-check", "--a", "a.json", "--b", "b.json"]),
+    "elliptical-check": ({"a.json": _ELLIPTICAL, "b.json": _ELLIPTICAL},
+                         ["elliptical-check", "--a", "a.json", "--b", "b.json"]),
+    "cf-check": ({"a.json": _GAUSSIAN, "b.json": _GAUSSIAN},
+                 ["cf-check", "--a", "a.json", "--b", "b.json", "--seed", "2"]),
+    "lepage": ({"driver.json": _PLANE}, ["lepage", "--driver", "driver.json", "--mode", "max", "--terms", "300",
+                                         "--paths", "40", "--seed", "5"]),
+    "cf-identity": ({"driver.json": _RADEMACHER},
+                    ["cf-identity", "--driver", "driver.json", "--u", "1", "--terms", "100", "--paths", "200",
+                     "--budget", "1e3", "--seed", "5"]),
+    "ergodic": ({"model.json": {"schema": 1, "type": "lognormal-swap", "b": [0.5]}},
+                ["ergodic", "--model", "model.json", "--checkpoints", "10,100", "--paths", "4", "--seed", "3"]),
+    "locscale-recover": ({"base.json": {"schema": 1, "kind": "normal"}},
+                         ["locscale-recover", "--base", "base.json", "--target-mean", "0",
+                          "--target-pos-mean", "0.4", "--budget", "1e4", "--seed", "1"]),
+    "zonotope": ({"law.json": _PLANE}, ["zonotope", "--law", "law.json"]),
+    "mean-width": ({"law.json": _PLANE}, ["mean-width", "--law", "law.json", "--nodes", "1e3"]),
+}
+
+
+def test_every_command_reads_a_file_in_the_directory_test():
+    assert set(_FILE_COMMANDS) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_FILE_COMMANDS))
+def test_report_does_not_depend_on_where_the_inputs_are(tmp_path, monkeypatch, command):
+    # the same documents read by relative path from one directory and by
+    # absolute path from another give the same report, config hash included
+    files, argv = _FILE_COMMANDS[command]
+    reports = []
+    for where, relative in (("one", True), ("two", False)):
+        workdir = tmp_path / where
+        workdir.mkdir()
+        for name, doc in files.items():
+            (workdir / name).write_text(json.dumps(doc))
+        monkeypatch.chdir(workdir if relative else tmp_path)
+        args = [a if a not in files or relative else workdir / a for a in argv]
+        out = "rep.json" if relative else workdir / "rep.json"
+        assert run([*args, "--out", out]) in (0, 1)
+        reports.append(strip_timestamp((workdir / "rep.json").read_text()))
+    assert reports[0] == reports[1]
+
+
+def test_config_hash_follows_the_input_documents(tmp_path):
+    law, grid, out = tmp_path / "law.json", tmp_path / "grid.json", tmp_path / "rep.json"
+    hashes = []
+    for atoms in ([[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.5, 2.0]]):
+        law.write_text(json.dumps({**_PLANE, "atoms": atoms}))
+        for directions in (_GRID["directions"], [[0.6, 0.8], [0.8, -0.6]]):
+            grid.write_text(json.dumps({"schema": 1, "directions": directions}))
+            assert run(["support", "--law", law, "--grid", grid, "--out", out]) == 0
+            doc = load(out)
+            assert doc["inputs"]["grid"]["directions"] == directions
+            hashes.append(doc["manifest"]["config_hash"])
+    assert len(set(hashes)) == 4
+    # a named grid is hashed by its spec and stays out of the inputs
+    assert run(["support", "--law", law, "--grid", "8", "--out", out]) == 0
+    assert "grid" not in load(out)["inputs"]
+
+
+@pytest.mark.parametrize("command", ["lepage", "cf-identity", "ergodic"])
+def test_report_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, command):
+    files, argv = _FILE_COMMANDS[command]
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for workers in ("1", "2"):
+        (tmp_path / workers).mkdir()
+        assert run([*argv, "--workers", workers, "--format", "csv", "--out", f"{workers}/rep.json"]) == 0
+        written.append({p.name: strip_timestamp(p.read_text()) for p in (tmp_path / workers).iterdir()})
+    assert "rep.json" in written[0] and written[0] == written[1]

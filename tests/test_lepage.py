@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,14 +18,17 @@ from zonoids.laws import (
     scale_law,
 )
 from zonoids.lepage import (
+    _BATCH,
+    _BLOCK,
     CFReport,
     LePageConfig,
     _ks_2samp,
+    _max_paths,
     cf_check,
     simulate_lepage,
     stationarity_cross_check,
 )
-from zonoids.rng import as_rng
+from zonoids.rng import as_rng, spawn_rngs
 
 POINT_MASS_1D = DiscreteLaw([[1.0]], [1.0])
 
@@ -131,6 +135,75 @@ def test_workers_do_not_change_results():
     b = simulate_lepage(cfg, workers=4)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.tail_start, b.tail_start)
+
+
+def _reference_max_path(driver, n_terms, rng, bound):
+    """One max-mode path on its own, computed as before paths were batched."""
+    value = np.full(driver.dim, -np.inf)
+    total = 0.0
+    used = 0
+    while used < n_terms:
+        take = min(_BLOCK, n_terms - used)
+        exps = rng.standard_exponential(_BLOCK)
+        marks = driver.sample(_BLOCK, rng)
+        gamma = total + np.cumsum(exps[:take])
+        total = float(total + exps.sum())
+        np.maximum(value, (marks[:take] / gamma[:, None]).max(axis=0), out=value)
+        used += take
+        if bound is not None and bound / gamma[-1] < value.min():
+            break
+    return value, 1.0 / gamma[take - 1], used
+
+
+# (driver, a bound on its marks); the lognormal's bound is false, which early
+# exit does not check.  The 3-atom law's second coordinate is rarely large, so
+# under its bound some paths of a batch stop after one block and others go on.
+_MAX_DRIVERS = {
+    "point-mass": (DiscreteLaw([[1.0, 1.0, 1.0]], [1.0]), 1.0),
+    "3-atom": (DiscreteLaw([[2.0, 0.01], [0.01, 2.0], [1.0, 1.0]], [0.98, 0.01, 0.01]), 2.0),
+    "40-atom": (DiscreteLaw(as_rng(30).uniform(0.1, 2.0, (40, 2)), as_rng(31).dirichlet(np.ones(40))), 2.0),
+    "lognormal": (LognormalLaw(GaussianLaw([-0.5, -0.3], [[1.0, 0.3], [0.3, 0.6]])), 3.0),
+}
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("n_terms", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+@pytest.mark.parametrize("name", sorted(_MAX_DRIVERS))
+def test_max_mode_matches_the_per_path_reference_bit_for_bit(name, n_terms, bounded):
+    driver, bound = _MAX_DRIVERS[name]
+    bound = bound if bounded else None
+    for paths in (1, _BATCH - 1, _BATCH, _BATCH + 1):
+        rows = [_reference_max_path(driver, n_terms, rng, bound) for rng in spawn_rngs(40, paths)]
+        for workers in (1, 2, 3):
+            res = simulate_lepage(LePageConfig(driver, "max", n_terms, paths, 40, bound), workers)
+            assert np.array_equal(res.values, np.array([r[0] for r in rows])), (paths, workers)
+            assert np.array_equal(res.tail_start, np.array([r[1] for r in rows])), (paths, workers)
+            assert np.array_equal(res.terms_used, np.array([r[2] for r in rows])), (paths, workers)
+
+
+def test_max_mode_early_exit_leaves_a_batch_path_by_path():
+    driver, bound = _MAX_DRIVERS["3-atom"]
+    res = simulate_lepage(LePageConfig(driver, "max", 300, _BATCH, 40, bound))
+    assert set(res.terms_used.tolist()) == {_BLOCK, 2 * _BLOCK}
+
+
+def test_max_mode_scratch_memory_is_set_by_the_batch():
+    # measured past the streams, whose count is the path count
+    driver = DiscreteLaw([[1.0, 1.0, 1.0]], [1.0])
+
+    def scratch_bytes(paths):
+        streams = spawn_rngs(41, paths)
+        tracemalloc.start()
+        try:
+            out = _max_paths(driver, _BLOCK + 1, streams, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in out)
+
+    small, large = scratch_bytes(3_000), scratch_bytes(30_000)
+    assert abs(large - small) < 16 * 1024, (small, large)
+    assert large < 512 * 1024, large
 
 
 def test_cf_identity_rademacher_grid():

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zonoids.report import json_dumps
+from zonoids.report import config_hash, json_dumps
 
 
 def reference_plain(obj):
@@ -96,3 +96,23 @@ def test_non_finite_values_are_quoted_for_strict_parsers():
     assert json.loads(text, parse_constant=_refuse) == {
         "float": "-inf", "float64": "inf", "float32": "nan", "complex": {"im": "nan", "re": "inf"},
         "complex128": {"im": 1.0, "re": "-inf"}, "array": [[1.0, "nan"]], "row": [2.0, "inf"]}
+
+
+def test_config_hash_reads_float_arrays_by_value_and_shape():
+    base = {"inputs": {"atoms": [[1.0, 2.0], [3.0, 4.0]], "type": "discrete"}, "seed": 1}
+    # an array, a tuple and a list of the same floats are one configuration
+    assert config_hash({"seed": 1, "inputs": {"type": "discrete", "atoms": np.array([[1.0, 2.0], [3.0, 4.0]])}}) \
+        == config_hash({"inputs": {"atoms": ([1.0, 2.0], (3.0, 4.0)), "type": "discrete"}, "seed": 1}) \
+        == config_hash(base)
+    others = [
+        {"inputs": {"atoms": [[1.0, 2.0], [3.0, 4.5]], "type": "discrete"}, "seed": 1},
+        {"inputs": {"atoms": [[1.0, 2.0], [3.0, 0.0]], "type": "discrete"}, "seed": 1},
+        {"inputs": {"atoms": [[1.0, 2.0], [3.0, -0.0]], "type": "discrete"}, "seed": 1},
+        {"inputs": {"atoms": [[1.0, 2.0, 3.0, 4.0]], "type": "discrete"}, "seed": 1},
+        {"inputs": {"atoms": [[1.0, 2.0], [3.0]], "type": "discrete"}, "seed": 1},
+        {"inputs": {"atoms": [[1.0, 2.0], [3.0, 4.0]], "type": "gaussian"}, "seed": 1},
+        {"inputs": {"atoms": [[1.0, 2.0], [3.0, 4.0]], "type": "discrete"}, "seed": 2},
+        {"inputs": {"weights": [[1.0, 2.0], [3.0, 4.0]], "type": "discrete"}, "seed": 1},
+    ]
+    hashes = {config_hash(doc) for doc in [base, *others]}
+    assert len(hashes) == len(others) + 1

@@ -1,11 +1,13 @@
 """Equivalence and invariance testers built on support-function comparison.
 
-Verdicts come in two modes.  When both laws admit closed-form support values
-the comparison is exact (pass means max |delta| <= 1e-10).  Otherwise the
-verdict is statistical: pass means the largest per-direction discrepancy,
-standardized by its Monte Carlo standard error, stays below a threshold tau.
-Laws from the same driver family are compared under common random numbers,
-which cancels most of the shared noise in the differences.
+Each side of a comparison is an exact law or a source of sample rows, and one
+evaluator, ``zonoid.side_moments``, reduces every side.  When every side is
+exact the verdict is exact (pass means max |delta| <= 1e-10).  Otherwise it is
+statistical: pass means the largest per-direction discrepancy, standardized by
+its Monte Carlo standard error, stays below a threshold tau.  Laws from the
+same driver family are drawn from one source under common random numbers,
+which cancels most of the shared noise in the differences; a report's ``crn``
+is true exactly when both sides were read from one source.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .laws import DiscreteLaw, measures_close, merge_atoms, permute_law, require_positive
 from .rng import as_rng, spawn_rngs
-from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, ProjectionMoments, functional_moments,
-                     is_exact_law, law_rows, matrix_rows, projection_moments)
+from .zonoid import (DEFAULT_BUDGET, EXACT_TOL, DirectionGrid, functional_moments, is_exact_law, law_rows,
+                     matrix_rows, side_moments)
 
 # A statistical score divides each delta by max(pooled SE, SE_FLOOR * max(|h_a|, |h_b|)).
 # The floor is far above the roundoff of a blocked mean and far below the SE
@@ -88,7 +90,7 @@ def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
 
 
 def _draw_pair(law_a, law_b, budget: int, rng):
-    """Row sources for samples of two laws of one dimension, and whether they are coupled.
+    """Row sources for samples of two laws of one dimension.
 
     Laws with the same kind of driver (``"normal"`` or ``"uniform"``) share
     one driver, chunk by chunk, as common random numbers: one source holds
@@ -97,12 +99,12 @@ def _draw_pair(law_a, law_b, budget: int, rng):
     """
     kind = law_a.driver_kind
     if kind is not None and kind == law_b.driver_kind:
-        return (law_rows(budget, rng, law_a, law_b),), True
-    return (law_rows(budget, rng, law_a), law_rows(budget, rng, law_b)), False
+        return (law_rows(budget, rng, law_a, law_b),)
+    return law_rows(budget, rng, law_a), law_rows(budget, rng, law_b)
 
 
 def _compare(reduce, k: int, sides):
-    """h_a, h_b and the standard error of h_a - h_b over k columns.
+    """h_a, h_b, the SE of h_a - h_b over k columns, and the mode: exact when no side read rows (n = 0).
 
     ``reduce(side, pairs=None)`` is a kernel front end.  ``sides`` is one
     source of both sides' coupled rows, reduced in one call, whose pairs get
@@ -111,9 +113,10 @@ def _compare(reduce, k: int, sides):
     """
     if len(sides) == 1:
         mom = reduce(sides[0], pairs=(np.arange(k), np.arange(k, 2 * k)))
-        return mom.mean[:k], mom.mean[k:], mom.paired_se
+        return mom.mean[:k], mom.mean[k:], mom.paired_se, "statistical"
     mom_a, mom_b = reduce(sides[0]), reduce(sides[1])
-    return mom_a.mean, mom_b.mean, np.hypot(mom_a.se, mom_b.se)
+    mode = "exact" if mom_a.n == mom_b.n == 0 else "statistical"
+    return mom_a.mean, mom_b.mean, np.hypot(mom_a.se, mom_b.se), mode
 
 
 def _scores(h_a, h_b, pooled, mode: str) -> np.ndarray:
@@ -161,10 +164,11 @@ def test_zonoid_equiv(
     """Compare support functions of two laws over a direction grid.
 
     ``samples_a``/``samples_b`` let a caller inject pre-drawn sample matrices;
-    ``samples_coupled`` marks the two as pathwise-coupled so the difference is
-    standardized as a paired sample (when both are given, with one row count).
-    Sides without a given matrix are drawn as the kernel reads them
-    (``law_rows``), chunk by chunk for laws with a driver.
+    ``samples_coupled`` marks two of one row count as pathwise-coupled, so the
+    difference is standardized as a paired sample.  A single injected matrix,
+    or two with different row counts, is reduced unpaired and reported as
+    unpaired (``crn`` false).  Other sides are an exact law, in closed form, or
+    drawn as the kernel reads them (``law_rows``, ``_draw_pair``).
     """
     if law_a.dim != law_b.dim:
         raise ValueError(f"dimension mismatch: {law_a.dim} vs {law_b.dim}")
@@ -174,31 +178,18 @@ def test_zonoid_equiv(
         raise ValueError(f"grid dimension {grid.dim} does not match laws of dimension {law_a.dim}")
     if kind not in ("centred", "max"):
         raise ValueError(f"unknown kind {kind!r}")
-    dirs = grid.directions
-    exact_a = is_exact_law(law_a) and samples_a is None
-    exact_b = is_exact_law(law_b) and samples_b is None
-    if exact_a and exact_b:
-        return _build_report(grid, law_a.support(dirs, kind), law_b.support(dirs, kind),
-                             np.zeros(len(grid)), "exact", tau, False, bonferroni)
-
     rng = as_rng(seed)
-    crn = samples_coupled
-    if not exact_a and not exact_b and samples_a is None and samples_b is None:
-        sides, crn = _draw_pair(law_a, law_b, budget, rng)
-    elif crn and samples_a is not None and samples_b is not None and samples_a.shape[0] == samples_b.shape[0]:
+    given = [x for x in (samples_a, samples_b) if x is not None]
+    if samples_coupled and len(given) == 2 and samples_a.shape[0] == samples_b.shape[0]:
         sides = (matrix_rows(samples_a, samples_b),)
+    elif not given and not is_exact_law(law_a) and not is_exact_law(law_b):
+        sides = _draw_pair(law_a, law_b, budget, rng)
     else:  # an exact side is its law; a sampled one is drawn as it is read, a before b
-        sides = tuple(law if exact else law_rows(budget, rng, law) if given is None else matrix_rows(given)
-                      for law, given, exact in ((law_a, samples_a, exact_a), (law_b, samples_b, exact_b)))
-
-    def reduce(side, pairs=None):  # an exact side is its law, evaluated in closed form
-        if is_exact_law(side):
-            h = side.support(dirs, kind)
-            return ProjectionMoments(h, np.zeros(h.size), np.zeros(0), 0)
-        return projection_moments(side, dirs, kind, pairs=pairs)
-
-    h_a, h_b, pooled = _compare(reduce, len(grid), sides)
-    return _build_report(grid, h_a, h_b, pooled, "statistical", tau, crn, bonferroni)
+        sides = tuple(matrix_rows(x) if x is not None else law if is_exact_law(law) else law_rows(budget, rng, law)
+                      for law, x in ((law_a, samples_a), (law_b, samples_b)))
+    h_a, h_b, pooled, mode = _compare(lambda s, pairs=None: side_moments(s, grid.directions, kind, pairs=pairs),
+                                      len(grid), sides)
+    return _build_report(grid, h_a, h_b, pooled, mode, tau, len(sides) == 1, bonferroni)
 
 
 def test_max_zonoid_equiv(
@@ -308,18 +299,14 @@ def test_swap_invariance(
     inverses = np.argsort(np.array(perms), axis=1)
     # rows [0, m) are the grid, rows [(i + 1) m, (i + 2) m) its image under pi_i^-1
     orbit = np.concatenate([dirs[None], dirs[:, inverses].transpose(1, 0, 2)]).reshape(-1, law.dim)
-    if is_exact_law(law):
-        mode, h, pooled = "exact", law.support(orbit), np.zeros(p * m)
-    else:
-        mode = "statistical"
-        mom = projection_moments(law_rows(budget, rng, law), orbit,
-                                 pairs=(np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)))
-        h, pooled = mom.mean, mom.paired_se
+    mom = side_moments(law if is_exact_law(law) else law_rows(budget, rng, law), orbit,
+                       pairs=(np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)))
+    mode = "exact" if mom.n == 0 else "statistical"
     # all m x p comparisons in one pass; the report keeps the permutation of the first worst one
-    h_a, h_b = h[:m], h[m:]
+    h_a, h_b, pooled = mom.mean[:m], mom.mean[m:], mom.paired_se
     row = int(_scores(np.tile(h_a, p), h_b, pooled, mode).argmax()) // m
     at = slice(row * m, (row + 1) * m)
-    return _build_report(grid, h_a, h_b[at], pooled[at], mode, tau, mode == "statistical", bonferroni,
+    return _build_report(grid, h_a, h_b[at], pooled[at], mode, tau, mom.n > 0, bonferroni,
                          {"worst_permutation": perms[row], "n_permutations": p}, comparisons=m * p)
 
 
@@ -588,13 +575,13 @@ def test_even_homogeneous(
     for name, fn in functions:
         _spot_check_even_homogeneous(name, fn, d, checks)
 
-    sides, crn = _draw_pair(law_a, law_b, budget, rng)
+    sides = _draw_pair(law_a, law_b, budget, rng)
     fns = [fn for _, fn in functions]
-    mean_a, mean_b, pooled = _compare(lambda s, pairs=None: functional_moments(s, fns, pairs=pairs),
-                                      len(fns), sides)
+    mean_a, mean_b, pooled, _ = _compare(lambda s, pairs=None: functional_moments(s, fns, pairs=pairs),
+                                         len(fns), sides)
     max_std = float(_scores(mean_a, mean_b, pooled, "statistical").max())
     return EvenHomogeneousReport(tuple(n for n, _ in functions), mean_a, mean_b, mean_a - mean_b, pooled,
-                                 max_std, bool(max_std <= tau), tau, crn)
+                                 max_std, bool(max_std <= tau), tau, len(sides) == 1)
 
 
 # these testers are library API, not pytest cases; stop pytest from collecting

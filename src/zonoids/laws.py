@@ -418,6 +418,7 @@ class EllipticalLaw(_PathwiseDefaults):
             and self.radial_mean == other.radial_mean
             and np.array_equal(self.matrix, other.matrix)
             and self.radial_spec == other.radial_spec
+            and (self.radial_spec is not None or self.radial_sampler is other.radial_sampler)
         )
 
 

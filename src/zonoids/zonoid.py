@@ -2,11 +2,11 @@
 
 Values are exact for discrete laws (enumeration over atoms) and for Gaussian
 laws (folded-normal moments); for every other law they are Monte Carlo
-estimates with a standard error.  One evaluator, ``support_at``, serves every
-kind at every direction: exact laws go through their own ``law.support``,
-samples through one blocked kernel, ``projection_moments``, which projects
-each block of sample rows onto every direction at once; the equivalence and
-swap testers share it.  ``grid_support`` and the ``support_*`` functions are views of it.
+estimates with a standard error.  One evaluator, ``side_moments``, picks one:
+an exact law goes through its own ``law.support``, any other side through one
+blocked kernel, ``projection_moments``, which projects each block of sample
+rows onto every direction at once.  ``support_at`` and the testers call it;
+``grid_support`` and the ``support_*`` functions are views of ``support_at``.
 The kernel's reduction core also takes callables (``functional_moments``).
 The kernel reads its rows from a ``RowSource``: laws with a standard driver
 are drawn chunk by chunk as the kernel reads them (``law_rows``), so memory
@@ -306,7 +306,8 @@ class ProjectionMoments:
     difference of the two columns, and ``se`` is None, as no per-column
     second moment is formed.  An unpaired call's means are corrected two-pass
     means, exact on a constant column; a paired call's are the column sums
-    over ``n``, and may differ from them by a few ulps.  ``n`` is the row count.
+    over ``n``, and may differ from them by a few ulps.  ``n`` is the row count,
+    0 for the closed-form values of an exact law (``side_moments``).
     """
 
     mean: np.ndarray
@@ -600,36 +601,47 @@ def is_exact_law(law) -> bool:
     return hasattr(law, "support")
 
 
+def side_moments(side, directions, kind: str = "centred", *, pairs=None) -> ProjectionMoments:
+    """Moments of f(<xi, u>) for one side: closed form or samples, decided here alone.
+
+    An exact law (``is_exact_law``) gives its closed-form values with every SE
+    0 and n = 0.  Any other side is a row source, a sample matrix or a tuple of
+    coupled ones, for ``projection_moments``; ``kind`` and ``pairs`` are as there.
+    """
+    if is_exact_law(side):
+        h = side.support(directions, kind)
+        return ProjectionMoments(h, np.zeros(h.size), np.zeros(0 if pairs is None else len(pairs[0])), 0)
+    return projection_moments(side, directions, kind, pairs=pairs)
+
+
 def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUDGET, seed=None, *,
                samples=None) -> list[SupportEstimate]:
     """One support kind at every row of ``directions``, sampling at most once.
 
     ``kind`` is a kernel functional or ``"lift"``: the lift-zonoid support
     h(k, u) = E(k + <u, xi>)_+ is the non-centred support of (1, xi) at (k, u),
-    so its rows are (k, u) in R^{d+1}.  Exact laws are lifted by ``law.lift()``.
-    Otherwise the rows come from ``samples`` (a matrix, held whole) or from
-    ``budget`` draws of the law (``law_rows``: chunk by chunk for a law with a
-    driver), and each chunk is checked for negativity (max kind) or gets a
-    column of ones in front (lift) as the kernel reads it.
+    so its rows are (k, u) in R^{d+1}.  ``side_moments`` evaluates one side: an
+    exact law, lifted by ``law.lift()`` (``samples`` is not read), or else rows
+    from ``samples`` (a matrix, held whole) or from ``budget`` draws of the law
+    (``law_rows``: chunk by chunk for a law with a driver), each chunk checked
+    for negativity (max kind) or given a column of ones in front (lift).
     """
     dirs = np.asarray(directions, dtype=float)
     lift = kind == "lift"
     if lift:
         kind = "noncentred"
-    if kind not in _FUNCTIONALS:
-        raise ValueError(f"unknown support kind {kind!r}")
     if is_exact_law(law):
-        values = (law.lift() if lift else law).support(dirs, kind)
-        return [SupportEstimate(float(h), 0.0, 0, True) for h in values]
-    if kind == "max" and law.is_positive() is False:
-        raise ValueError("max-zonoid support requires a positive law")
-    source = matrix_rows(samples) if samples is not None else law_rows(int(budget), _seeded(seed), law)
-    if kind == "max":
-        source = source.map(_nonnegative)
-    if lift:
-        source = source.map(lambda x: np.column_stack([np.ones(x.shape[0]), x]))
-    mom = projection_moments(source, dirs, kind)
-    return [SupportEstimate(float(h), float(se), mom.n, False) for h, se in zip(mom.mean, mom.se)]
+        side = law.lift() if lift else law
+    else:
+        if kind == "max" and law.is_positive() is False:
+            raise ValueError("max-zonoid support requires a positive law")
+        side = matrix_rows(samples) if samples is not None else law_rows(int(budget), _seeded(seed), law)
+        if kind == "max":
+            side = side.map(_nonnegative)
+        if lift:
+            side = side.map(lambda x: np.column_stack([np.ones(x.shape[0]), x]))
+    mom = side_moments(side, dirs, kind)
+    return [SupportEstimate(float(h), float(se), mom.n, mom.n == 0) for h, se in zip(mom.mean, mom.se)]
 
 
 def _nonnegative(x: np.ndarray) -> np.ndarray:
@@ -789,7 +801,7 @@ def mean_width_check(law, nodes: int = 10_000, budget: int = DEFAULT_BUDGET, see
         samples = law.sample(int(budget), _seeded(seed))  # held whole: both integrals read it
         mom = functional_moments(samples, [lambda x: np.linalg.norm(x, axis=1)])
         enorm, enorm_se = float(mom.mean[0]), float(mom.se[0])
-    hvals = law.support(pts) if is_exact_law(law) else projection_moments(samples, pts).mean
+    hvals = side_moments(law if is_exact_law(law) else samples, pts).mean
     integral = float(w @ hvals)
     identity = integral / (2.0 * unit_ball_volume(d - 1))
     return MeanWidthReport(enorm, identity, abs(enorm - identity), enorm_se, nodes)

@@ -512,6 +512,27 @@ def test_se_floor_silences_a_near_axis_roundoff_delta():
         assert one.max_standardized < 1.0 and one.verdict
 
 
+@pytest.mark.parametrize("case,crn,mode", [
+    ("one-injected-matrix", False, "statistical"),
+    ("row-counts-differ", False, "statistical"),
+    ("coupled-matrices", True, "statistical"),
+    ("lognormal-pair", True, "statistical"),
+    ("exact-pair", False, "exact"),
+])
+def test_crn_flag_is_true_only_when_both_sides_are_read_from_one_source(case, crn, mode):
+    z = as_rng(4).standard_normal((5_000, 2))
+    sa, sb = CORO_A.sample_with_driver(z), CORO_B.sample_with_driver(z)
+    a, b = (SWAPPY, permute_law(SWAPPY, (1, 0))) if case == "exact-pair" else (CORO_A, CORO_B)
+    given = {"one-injected-matrix": {"samples_a": sa}, "row-counts-differ": {"samples_a": sa, "samples_b": sb[1:]},
+             "coupled-matrices": {"samples_a": sa, "samples_b": sb}}.get(case, {})
+    grid = DirectionGrid.circle(8)
+    rep = test_zonoid_equiv(a, b, grid, budget=5_000, seed=0, samples_coupled=True, **given)
+    assert (rep.crn, rep.mode) == (crn, mode)
+    if given and not crn:  # reduced as if uncoupled, bit for bit
+        unpaired = test_zonoid_equiv(a, b, grid, budget=5_000, seed=0, **given)
+        assert rep.pooled_se.tobytes() == unpaired.pooled_se.tobytes() and not unpaired.crn
+
+
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_worst_index_is_the_first_of_scores_tied_to_a_relative_1e_12(order):
     from zonoids.invariance import _build_report

@@ -219,6 +219,20 @@ def test_law_to_json_needs_a_spec(law):
         law.to_json()
 
 
+def _ones(rng, n):
+    return np.ones(n)
+
+
+@pytest.mark.parametrize("a,b,equal", [
+    (EllipticalLaw(1.0, _ones, np.eye(2)), EllipticalLaw(1.0, _ones, np.eye(2)), True),
+    # one radial mean and matrix, different bare radial samplers
+    (EllipticalLaw(1.0, lambda r, n: np.ones(n), np.eye(2)),
+     EllipticalLaw(1.0, lambda r, n: r.exponential(1.0, n), np.eye(2)), False),
+], ids=["elliptical-same-sampler", "elliptical-other-sampler"])  # one spec, two samplers: test_law_json_round_trip
+def test_law_equality(a, b, equal):
+    assert (a == b) is equal and (b == a) is equal
+
+
 POSITIVITY = [
     (DiscreteLaw([[1.0, 2.0], [-1.0, 3.0]], [1.0, 0.0]), True),  # the negative atom has no mass
     (DiscreteLaw([[1.0], [-1.0]], [0.5, 0.5]), False),

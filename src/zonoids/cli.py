@@ -298,8 +298,7 @@ def _cmd_lepage(args) -> int:
                                   driver_bound=args.bound)
     res = lepage_mod.simulate_lepage(cfg, args.workers)
     header = [f"x_{i + 1}" for i in range(driver.dim)] + ["tail_start", "terms_used"]
-    rows = [(*res.values[i].tolist(), float(res.tail_start[i]), int(res.terms_used[i]))
-            for i in range(args.paths)]
+    rows = [(*v, t, n) for v, t, n in zip(res.values.tolist(), res.tail_start.tolist(), res.terms_used.tolist())]
     # the path matrix always lands in a CSV file; the JSON report only summarizes
     base, _ = os.path.splitext(args.out)
     csv_path = f"{base}.paths.csv"
@@ -409,6 +408,16 @@ def _cmd_mean_width(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = False, grid: bool = False,
                 workers: bool = False):
     p.add_argument("--out", required=True, help="output path for the JSON report")
@@ -418,8 +427,8 @@ def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = Fals
                    help="RNG seed (explicit seeds only; no environment fallback)")
     if workers:
         # only the path-parallel commands take it: every option enters the config hash
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size for path-parallel work")
+        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+                       help="worker pool size for path-parallel work (LePage max mode runs on one thread)")
     if budget:
         p.add_argument("--budget", type=lambda s: int(float(s)), default=100_000,
                        help="Monte Carlo samples per comparison")

@@ -110,7 +110,8 @@ def simulate_lepage(cfg: LePageConfig, workers: int = 1) -> LePageResult:
 
     Returns the path values together with the tail-start magnitude
     1/Gamma_last per path, a direct diagnostic for how much of the series the
-    truncation discarded.
+    truncation discarded.  Sum mode spreads its paths over ``workers``
+    threads; max mode runs on the calling thread whatever ``workers`` is.
     """
     check_rng = np.random.default_rng((cfg.seed, 0x5EED))
     if cfg.mode == "sum":
@@ -118,18 +119,17 @@ def simulate_lepage(cfg: LePageConfig, workers: int = 1) -> LePageResult:
     else:
         require_positive(cfg.driver, 4096, check_rng, "max mode")
 
-    d = cfg.driver.dim
-    values = np.empty((cfg.paths, d))
+    streams = spawn_rngs(cfg.seed, cfg.paths)
+    if cfg.mode == "max":
+        # on the calling thread: the per-path draws of a block hold the
+        # interpreter lock, so a second worker only adds switching
+        return LePageResult(*_max_paths(cfg.driver, cfg.n_terms, streams, cfg.driver_bound))
+
+    values = np.empty((cfg.paths, cfg.driver.dim))
     tail = np.empty(cfg.paths)
     used = np.empty(cfg.paths, dtype=int)
-    streams = spawn_rngs(cfg.seed, cfg.paths)
 
     def run(block) -> None:
-        if cfg.mode == "max":
-            chunk = slice(block[0], block[-1] + 1)  # run_chunked's chunks are contiguous
-            values[chunk], tail[chunk], used[chunk] = _max_paths(
-                cfg.driver, cfg.n_terms, streams[chunk], cfg.driver_bound)
-            return
         for i in block:
             values[i], tail[i], used[i] = _sum_path(cfg.driver, cfg.n_terms, streams[i])
 

@@ -119,11 +119,11 @@ def write_json(path: str, report: dict) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as RFC-4180 CSV; a float is written as its ``repr``, through ``str``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)  # minimal quoting is RFC-4180 conformant
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def support_table_rows(grid, estimates):

@@ -620,17 +620,19 @@ def support_at(law, directions, kind: str = "centred", budget: int = DEFAULT_BUD
 
     ``kind`` is a kernel functional or ``"lift"``: the lift-zonoid support
     h(k, u) = E(k + <u, xi>)_+ is the non-centred support of (1, xi) at (k, u),
-    so its rows are (k, u) in R^{d+1}.  ``side_moments`` evaluates one side: an
-    exact law, lifted by ``law.lift()`` (``samples`` is not read), or else rows
-    from ``samples`` (a matrix, held whole) or from ``budget`` draws of the law
-    (``law_rows``: chunk by chunk for a law with a driver), each chunk checked
-    for negativity (max kind) or given a column of ones in front (lift).
+    so its rows are (k, u) in R^{d+1}.  ``side_moments`` evaluates one side:
+    the rows of ``samples`` (a matrix, held whole) whenever it is given, for
+    an exact law too; else an exact law, lifted by ``law.lift()``; else
+    ``budget`` draws of the law (``law_rows``: chunk by chunk for a law with a
+    driver).  Rows are checked for negativity (max kind) or given a column of
+    ones in front (lift).  Estimates from rows have ``exact`` False and ``n``
+    the row count.
     """
     dirs = np.asarray(directions, dtype=float)
     lift = kind == "lift"
     if lift:
         kind = "noncentred"
-    if is_exact_law(law):
+    if samples is None and is_exact_law(law):
         side = law.lift() if lift else law
     else:
         if kind == "max" and law.is_positive() is False:

@@ -477,6 +477,19 @@ def test_workers_is_offered_only_by_the_path_parallel_commands(capsys):
     assert offered == {"lepage", "cf-identity", "ergodic"}
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["lepage", "cf-identity", "ergodic"])
+def test_workers_below_one_is_a_usage_error(capsys, command, workers):
+    required = {"lepage": ["--driver", "d.json", "--mode", "max"], "cf-identity": ["--driver", "d.json", "--u", "1"],
+                "ergodic": ["--model", "m.json"]}[command]
+    argv = [command, *required, "--seed", "0", "--workers", workers, "--out", "r.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)  # refused while parsing, before any file is read or thread started
+    assert exc.value.code == 2
+    assert f"error: argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert cli.build_parser().parse_args([*argv[:-4], "--workers", "1", "--out", "r.json"]).workers == 1
+
+
 def test_config_hash_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
     # the --workers default is the core count, and every option enters the hash
     law = tmp_path / "law.json"

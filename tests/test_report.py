@@ -5,6 +5,7 @@ one pass, with one rule changed: every non-finite float, whatever its type, is
 the quoted repr (``"inf"``, ``"-inf"``, ``"nan"``), so strict parsers read
 every report.
 """
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from zonoids.report import config_hash, json_dumps
+from zonoids.report import config_hash, json_dumps, write_csv
 
 
 def reference_plain(obj):
@@ -116,3 +117,23 @@ def test_config_hash_reads_float_arrays_by_value_and_shape():
     ]
     hashes = {config_hash(doc) for doc in [base, *others]}
     assert len(hashes) == len(others) + 1
+
+
+def test_write_csv_bytes_equal_a_per_value_repr_reference(tmp_path):
+    header = ["x, y", 'say "hi"', "plain"]
+    rows = [
+        (float("inf"), float("-inf"), float("nan")),
+        (-0.0, 5e-324, 0.1),
+        (2**70, -(2**63), 1.7976931348623157e308),
+        (True, False, None),
+        [1, 2.5, "a,b"],
+    ]
+    write_csv(tmp_path / "out.csv", header, iter(rows))
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    written = (tmp_path / "out.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert written.splitlines()[:3] == [b'"x, y","say ""hi""",plain', b"inf,-inf,nan", b"-0.0,5e-324,0.1"]

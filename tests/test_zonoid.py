@@ -50,6 +50,21 @@ def test_centred_zero_direction():
         assert support_centred(law, [0.0, 0.0]).value == 0.0
 
 
+def test_injected_rows_are_reduced_for_exact_laws_too():
+    x = 3.0 * as_rng(3).standard_normal((2_000, 2))
+    est = support_centred(STD_GAUSS2, [1.0, 0.0], samples=x)
+    assert (est.value, est.n, est.exact) == (pytest.approx(np.abs(x[:, 0]).mean(), rel=1e-12), 2_000, False)
+    assert est.value > 2.0  # the closed form of STD_GAUSS2 is 0.798
+    rows = TWO_ATOM.sample(500, as_rng(4))
+    est = support_noncentred(TWO_ATOM, [1.0, -1.0], samples=rows)
+    mean = np.maximum(rows @ [1.0, -1.0], 0.0).mean()
+    assert (est.value, est.n, est.exact) == (pytest.approx(mean, rel=1e-12), 500, False)
+    lifted = support_lift(TWO_ATOM, 0.5, [1.0, -1.0], samples=rows[:7])
+    mean = np.maximum(0.5 + rows[:7] @ [1.0, -1.0], 0.0).mean()
+    assert (lifted.value, lifted.n, lifted.exact) == (pytest.approx(mean, rel=1e-12), 7, False)
+    assert support_lift(TWO_ATOM, 0.5, [1.0, -1.0]).exact
+
+
 def test_centred_gaussian_closed_form_vs_mc():
     exact = support_centred(STD_GAUSS2, [1.0, 0.0])
     assert exact.value == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-15)

@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=lambda s: int(float(s)), default=10_000)
     p.add_argument("--paths", type=lambda s: int(float(s)), default=1_000)
     p.add_argument("--bound", type=float, default=None,
-                   help="declared upper bound on mark coordinates (max-mode early exit)")
+                   help="max mode: a true upper bound on every mark coordinate, finite and > 0 (early exit)")
     _add_common(p, seed_required=True, budget=False, workers=True)
     p.set_defaults(func=_cmd_lepage)
 

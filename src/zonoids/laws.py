@@ -53,13 +53,14 @@ def gaussian_abs_moment(m: float, s: float) -> float:
 _folded_normal_mean = np.frompyfunc(gaussian_abs_moment, 2, 1)
 
 
-def draw_driver(kind: str, n: int, dim: int, rng) -> np.ndarray:
+def draw_driver(kind: str, n: int, dim: int, rng, out=None) -> np.ndarray:
     """n rows of a standard driver: (n, dim) standard normals, or n uniforms on [0, 1).
 
     Both are drawn element by element in stream order, so n rows drawn in
-    consecutive chunks are the n rows drawn at once.
+    consecutive chunks are the n rows drawn at once.  ``out``, of the result's
+    shape, receives the draws in place of a new array.
     """
-    return rng.standard_normal((n, dim)) if kind == "normal" else rng.random(n)
+    return rng.standard_normal((n, dim), out=out) if kind == "normal" else rng.random(n, out=out)
 
 
 def symmetrized_psd_factor(cov: np.ndarray) -> np.ndarray:

@@ -16,17 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariance import test_zonoid_stationarity
-from .laws import require_positive, require_symmetric
+from .laws import draw_driver, require_positive, require_symmetric
 from .rng import as_rng, run_chunked, spawn_rngs
 from .zonoid import DEFAULT_BUDGET, DirectionGrid, support_at
 
 _BLOCK = 128  # draw granularity in max mode; fixed so prefixes agree across depths
-# Max-mode paths whose blocks are combined at once.  Their scratch arrays take
-# _BATCH * _BLOCK * 8 * (d + 2) bytes, 320 KiB for d = 3 (a traced peak of
-# 0.4 MB).  On a 2-core x86-64 host, 3,000 one-block paths of a 3-d driver
-# took a median 0.22 s at one path per batch, 0.087 s at 8, and 0.078 to
-# 0.067 s from 16 to 256, falling slowly (BENCH_lepage_batch.json, "batch_size").
-_BATCH = 64
+# Max-mode paths whose blocks are combined at once.  For a 3-d discrete driver
+# the scratch arrays hold 10 values per path and term (exponentials, Gamma,
+# uniforms, cdf indices, mapped marks and term-innermost marks), 320 KiB at 32
+# paths (a traced peak of 324 KiB; 494 KiB at 48, 650 KiB at 64).  On a 2-core
+# x86-64 host, 3,000 one-block paths of that driver took a median 0.053 s at 8
+# paths per batch, 0.041 s at 16 and 0.033-0.036 s from 32 to 128
+# (BENCH_lepage_layout.json, "batch_size").
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class LePageConfig:
     n_terms: int
     paths: int
     seed: int
-    driver_bound: float | None = None  # upper bound on mark coordinates (enables early exit)
+    driver_bound: float | None = None  # max mode: a true upper bound on every mark coordinate (early exit)
 
     def __post_init__(self):
         if self.mode not in ("sum", "max"):
@@ -45,6 +47,12 @@ class LePageConfig:
             raise ValueError("n_terms must be >= 1")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
+        if self.driver_bound is not None:
+            # a bound of 0 or below would stop every path after one block, NaN would never stop one
+            if self.mode != "max":
+                raise ValueError("a mark bound (driver_bound) applies to max mode only")
+            if not (math.isfinite(self.driver_bound) and self.driver_bound > 0):
+                raise ValueError(f"the mark bound must be finite and > 0, got {self.driver_bound!r}")
 
 
 @dataclass(frozen=True)
@@ -69,15 +77,22 @@ def _max_paths(driver, n_terms: int, streams, bound: float | None) -> tuple[np.n
     stream layout is the same at every truncation depth.  The arithmetic of
     one block runs at once over ``_BATCH`` paths; a path leaves its batch at
     the depth or, under a declared ``bound``, as soon as no later term can
-    raise any coordinate.  The scratch arrays hold one batch, whatever the
-    number of paths.
+    raise any coordinate.  A driver with a standard driver (``driver_kind``)
+    draws each path's block into a batch buffer, by the calls of
+    ``draw_driver``, and maps the whole batch with one ``sample_with_driver``;
+    any other law samples path by path.  The marks are then held
+    term-innermost, ``(paths, d, _BLOCK)``, so the division by Gamma and the
+    running maximum run along contiguous terms.  The scratch arrays hold one
+    batch, whatever the number of paths.
     """
-    n, d = len(streams), driver.dim
+    n, d, kind = len(streams), driver.dim, driver.driver_kind
     values = np.empty((n, d))
     tail = np.empty(n)
     used = np.empty(n, dtype=int)
     exps = np.empty((_BATCH, _BLOCK))
-    marks = np.empty((_BATCH, _BLOCK, d))
+    if kind is not None:
+        draws = np.empty((_BATCH, _BLOCK) if kind == "uniform" else (_BATCH, _BLOCK, d))
+    marks = np.empty((_BATCH, d, _BLOCK))  # term-innermost: Gamma divides and the max runs along terms
     for start in range(0, n, _BATCH):
         rows = np.arange(start, min(start + _BATCH, n))  # paths still drawing, as output rows
         value = np.full((rows.size, d), -np.inf)
@@ -85,18 +100,24 @@ def _max_paths(driver, n_terms: int, streams, bound: float | None) -> tuple[np.n
         drawn = 0
         while rows.size:
             take = min(_BLOCK, n_terms - drawn)
+            k = rows.size
             for j, r in enumerate(rows.tolist()):
                 streams[r].standard_exponential(_BLOCK, out=exps[j])
-                marks[j] = driver.sample(_BLOCK, streams[r])
-            e, m = exps[:rows.size], marks[:rows.size, :take]
+                if kind is None:
+                    marks[j] = driver.sample(_BLOCK, streams[r]).T
+                else:
+                    draw_driver(kind, _BLOCK, d, streams[r], out=draws[j])
+            if kind is not None:
+                marks[:k] = driver.sample_with_driver(draws[:k]).transpose(0, 2, 1)  # one mapping per batch
+            e, m = exps[:k], marks[:k, :, :take]
             gamma = np.cumsum(e[:, :take], axis=1)
             gamma += total[:, None]
             total += e.sum(axis=1)
-            np.divide(m, gamma[:, :, None], out=m)
-            np.maximum(value, m.max(axis=1), out=value)
+            np.divide(m, gamma[:, None, :], out=m)
+            np.maximum(value, m.max(axis=2), out=value)
             drawn += take
             last = gamma[:, -1]
-            stop = np.full(rows.size, drawn == n_terms)
+            stop = np.full(k, drawn == n_terms)
             if bound is not None:
                 stop |= bound / last < value.min(axis=1)
             done = rows[stop]

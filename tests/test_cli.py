@@ -270,6 +270,20 @@ def test_lepage_and_cf_identity_commands(tmp_path):
                 "--paths", "5000", "--seed", "5", "--threshold", "1e-9", "--out", out2]) == 1
 
 
+@pytest.mark.parametrize("mode, bound", [("max", "0"), ("max", "-1"), ("max", "nan"), ("max", "inf"),
+                                         ("sum", "-3"), ("sum", "1")])
+def test_lepage_refuses_a_bound_that_cannot_hold(tmp_path, capsys, mode, bound):
+    atoms = [[1.0]] if mode == "max" else [[-1.0], [1.0]]
+    driver = tmp_path / "driver.json"
+    driver.write_text(json.dumps({"schema": 1, "type": "discrete", "atoms": atoms,
+                                  "weights": [1.0 / len(atoms)] * len(atoms)}))
+    out = tmp_path / "paths.json"
+    assert run(["lepage", "--driver", driver, "--mode", mode, "--terms", "1000", "--paths", "5",
+                "--bound", bound, "--seed", "0", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_ergodic_command(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"schema": 1, "type": "lognormal-swap", "b": [0.5]}))

@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 
 from zonoids.errors import SchemaError
 from zonoids.laws import (
+    _DRAWS_PER_COUNTED_ATOM,
     DacunhaCastelleModel,
     DiscreteLaw,
     EllipticalLaw,
@@ -19,6 +20,7 @@ from zonoids.laws import (
     SamplerLaw,
     ScalarBase,
     SupportFlags,
+    _cdf_index,
     dacunha_prefix_law,
     law_from_json,
     lognormal_swap_law,
@@ -367,6 +369,24 @@ def test_discrete_draw_indices_are_searchsorted(case):
 def test_discrete_draw_indices_at_the_cdf_guard(weights, n):
     weights = np.array(weights)
     _assert_draws_are_searchsorted(weights, _edge_uniforms(_cdf(weights), n, np.random.default_rng(n)))
+
+
+@pytest.mark.parametrize("m", [1, 3, 33, 40])
+def test_cdf_index_of_a_batch_of_blocks_is_the_index_row_by_row(m):
+    # batched max-mode LePage maps (paths, 128) uniforms at once, so the draw
+    # rule sees paths x 128 draws; at 3 atoms the batch counts and a row
+    # searches, past 32 atoms both search
+    rng = np.random.default_rng(m)
+    weights = rng.dirichlet(np.ones(m))
+    law = DiscreteLaw(np.arange(float(m))[:, None] * [1.0, -1.0], weights)
+    u = np.stack([_edge_uniforms(law._cum, 128, rng) for _ in range(40)])
+    if m == 3:
+        assert u.shape[1] < (m - 1) * _DRAWS_PER_COUNTED_ATOM <= u.size
+    got = _cdf_index(law._cum, u)
+    assert got.shape == u.shape
+    for row, draws in zip(got, u):
+        assert np.array_equal(row, _cdf_index(law._cum, draws))
+    assert law.sample_with_driver(u).tobytes() == np.stack([law.sample_with_driver(r) for r in u]).tobytes()
 
 
 @pytest.mark.parametrize("b", [[0.5], [0.3, -0.2, 0.1], [-0.0, 0.25, 1e-300, 0.4]])

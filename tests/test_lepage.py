@@ -163,6 +163,9 @@ _MAX_DRIVERS = {
     "3-atom": (DiscreteLaw([[2.0, 0.01], [0.01, 2.0], [1.0, 1.0]], [0.98, 0.01, 0.01]), 2.0),
     "40-atom": (DiscreteLaw(as_rng(30).uniform(0.1, 2.0, (40, 2)), as_rng(31).dirichlet(np.ones(40))), 2.0),
     "lognormal": (LognormalLaw(GaussianLaw([-0.5, -0.3], [[1.0, 0.3], [0.3, 0.6]])), 3.0),
+    # no standard driver: each path keeps its own ``sample`` call
+    "scaled-sampler": (scale_law(DiscreteLaw([[1.0, 0.5], [0.25, 2.0]], [0.7, 0.3]), 2.0), 4.0),
+    "point-mass-1d": (POINT_MASS_1D, 1.0),  # a term-innermost batch of one coordinate
 }
 
 
@@ -179,6 +182,19 @@ def test_max_mode_matches_the_per_path_reference_bit_for_bit(name, n_terms, boun
             assert np.array_equal(res.values, np.array([r[0] for r in rows])), (paths, workers)
             assert np.array_equal(res.tail_start, np.array([r[1] for r in rows])), (paths, workers)
             assert np.array_equal(res.terms_used, np.array([r[2] for r in rows])), (paths, workers)
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_mark_bound_must_be_finite_and_positive(bound):
+    # 0 or below would stop every path after its first block; NaN would never stop one
+    with pytest.raises(ValueError, match="finite and > 0"):
+        LePageConfig(POINT_MASS_1D, "max", n_terms=1_000, paths=10, seed=0, driver_bound=bound)
+
+
+@pytest.mark.parametrize("bound", [1.0, -3.0])
+def test_a_mark_bound_applies_to_max_mode_only(bound):
+    with pytest.raises(ValueError, match="max mode only"):
+        LePageConfig(rademacher_law(), "sum", n_terms=100, paths=10, seed=0, driver_bound=bound)
 
 
 def test_max_mode_early_exit_leaves_a_batch_path_by_path():

@@ -48,6 +48,7 @@ from . import levy as levy_mod
 from . import report as report_mod
 from .errors import DiagnosticError, SchemaError
 from .invariance import (
+    _decide,
     test_lift_swap_invariance,
     test_swap_invariance,
     test_zonoid_equiv,
@@ -122,19 +123,13 @@ def _check_budget(budget: int) -> int:
     return budget
 
 
-def _check_tau(tau: float) -> float:
-    if not tau > 0:
-        raise SchemaError("tau must be > 0")
-    return tau
-
-
 # Options the config hash leaves out: where the report lands and how it is laid
 # out do not change what was computed, and neither does the worker count.
 _UNHASHED = frozenset({"func", "out", "format", "workers"})
 
 
-def _emit(args, command: str, inputs: dict, result: dict, tables: dict | None = None) -> None:
-    """Write the JSON report (and CSV attachments for --format csv)."""
+def _emit(args, command: str, inputs: dict, result: dict, tables: dict | None = None, verdict: bool = True) -> int:
+    """Write the JSON report (and CSV attachments for --format csv); the exit code is 1 on a failed verdict, else 0."""
     # hash the computational configuration: the loaded input documents and the
     # other options.  An option recorded in ``inputs`` is hashed there, so an
     # input file's path drops out while its document stays in.
@@ -161,13 +156,13 @@ def _emit(args, command: str, inputs: dict, result: dict, tables: dict | None = 
         for name, (header, rows) in tables.items():
             doc["result"][name] = {"header": header, "rows": rows}
     report_mod.write_json(args.out, doc)
+    return 0 if verdict else 1
 
 
 def _emit_equiv(args, command: str, inputs: dict, report) -> int:
     """Write an equivalence report with its per-direction table; the exit code follows the verdict."""
-    _emit(args, command, inputs, report_mod.equivalence_report_json(report),
-          {"per_direction": report_mod.equivalence_rows(report)})
-    return 0 if report.verdict else 1
+    return _emit(args, command, inputs, report_mod.equivalence_report_json(report),
+                 {"per_direction": report_mod.equivalence_rows(report)}, verdict=report.verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +183,14 @@ def _cmd_support(args) -> int:
         "grid_size": len(grid),
         "exact": all(e.exact for e in ests),
     }
-    _emit(args, "support", {"law": law.to_json(), **_grid_inputs(grid)}, result,
-          {"estimates": (report_mod.support_table_header(grid.dim), rows)})
-    return 0
+    return _emit(args, "support", {"law": law.to_json(), **_grid_inputs(grid)}, result,
+                 {"estimates": (report_mod.support_table_header(grid.dim), rows)})
 
 
 def _cmd_equiv(args) -> int:
     law_a, law_b = _load_law(args.law_a), _load_law(args.law_b)
     grid = _build_grid(args.grid, law_a.dim, args.seed)
-    report = test_zonoid_equiv(law_a, law_b, grid, _check_budget(args.budget), _check_tau(args.tau),
+    report = test_zonoid_equiv(law_a, law_b, grid, _check_budget(args.budget), args.tau,
                                args.seed, bonferroni=args.bonferroni)
     return _emit_equiv(args, "equiv", {"law_a": law_a.to_json(), "law_b": law_b.to_json(), **_grid_inputs(grid)},
                        report)
@@ -206,7 +200,7 @@ def _cmd_swap(args) -> int:
     law = _load_law(args.law)
     grid = _build_grid(args.grid, law.dim, args.seed)
     perms = "all" if args.perms == "all" else int(args.perms)
-    report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
+    report = test_swap_invariance(law, perms, grid, _check_budget(args.budget), args.tau, args.seed,
                                   bonferroni=args.bonferroni)
     return _emit_equiv(args, "swap", {"law": law.to_json(), **_grid_inputs(grid)}, report)
 
@@ -214,7 +208,7 @@ def _cmd_swap(args) -> int:
 def _cmd_lift_swap(args) -> int:
     law = _load_law(args.law)
     grid = _build_grid(args.grid, law.dim + 1, args.seed)
-    report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), _check_tau(args.tau), args.seed,
+    report = test_lift_swap_invariance(law, grid, _check_budget(args.budget), args.tau, args.seed,
                                        bonferroni=args.bonferroni)
     return _emit_equiv(args, "lift-swap", {"law": law.to_json(), **_grid_inputs(grid)}, report)
 
@@ -224,7 +218,7 @@ def _cmd_stationarity(args) -> int:
     times = _parse_floats(args.times)
     grid = _build_grid(args.grid, len(times), args.seed)
     report = test_zonoid_stationarity(process, times, args.shift, grid,
-                                      _check_budget(args.budget), _check_tau(args.tau), args.seed,
+                                      _check_budget(args.budget), args.tau, args.seed,
                                       bonferroni=args.bonferroni)
     return _emit_equiv(args, "stationarity",
                        {"process": process_to_json(process), "times": times, "shift": args.shift,
@@ -249,10 +243,9 @@ def _cmd_levy_check(args) -> int:
         "max_variogram_dev": rep.max_variogram_dev,
         "max_expectation_dev": rep.max_expectation_dev,
     }
-    _emit(args, "levy-check",
-          {"a": levy_mod.triplet_to_json(t1), "b": levy_mod.triplet_to_json(t2), "tol": args.tol},
-          result)
-    return 0 if rep.verdict else 1
+    return _emit(args, "levy-check",
+                 {"a": levy_mod.triplet_to_json(t1), "b": levy_mod.triplet_to_json(t2), "tol": args.tol},
+                 result, verdict=rep.verdict)
 
 
 def _cmd_lognormal_check(args) -> int:
@@ -265,8 +258,8 @@ def _cmd_lognormal_check(args) -> int:
         "max_log_mean_dev": rep.max_log_mean_dev,
         "max_variogram_dev": rep.max_variogram_dev,
     }
-    _emit(args, "lognormal-check", {"a": l1.to_json(), "b": l2.to_json(), "tol": args.tol}, result)
-    return 0 if rep.verdict else 1
+    return _emit(args, "lognormal-check", {"a": l1.to_json(), "b": l2.to_json(), "tol": args.tol}, result,
+                 verdict=rep.verdict)
 
 
 def _cmd_elliptical_check(args) -> int:
@@ -274,8 +267,8 @@ def _cmd_elliptical_check(args) -> int:
     rep = levy_mod.check_elliptical_equiv(e1, e2, args.tol)
     result = {"verdict": rep.verdict, "max_dev": rep.max_dev,
               "shape_a": rep.shape_a, "shape_b": rep.shape_b}
-    _emit(args, "elliptical-check", {"a": e1.to_json(), "b": e2.to_json(), "tol": args.tol}, result)
-    return 0 if rep.verdict else 1
+    return _emit(args, "elliptical-check", {"a": e1.to_json(), "b": e2.to_json(), "tol": args.tol}, result,
+                 verdict=rep.verdict)
 
 
 def _cmd_cf_check(args) -> int:
@@ -288,8 +281,8 @@ def _cmd_cf_check(args) -> int:
         "w": rep.w,
         "n_dirs": int(rep.us.shape[0]),
     }
-    _emit(args, "cf-check", {"a": l1.to_json(), "b": l2.to_json(), "tol": args.tol}, result)
-    return 0 if rep.verdict else 1
+    return _emit(args, "cf-check", {"a": l1.to_json(), "b": l2.to_json(), "tol": args.tol}, result,
+                 verdict=rep.verdict)
 
 
 def _cmd_lepage(args) -> int:
@@ -311,8 +304,7 @@ def _cmd_lepage(args) -> int:
         "tail_start_max": float(res.tail_start.max()),
         "paths_csv": os.path.basename(csv_path),
     }
-    _emit(args, "lepage", {"driver": driver.to_json()}, result)
-    return 0
+    return _emit(args, "lepage", {"driver": driver.to_json()}, result)
 
 
 def _cmd_cf_identity(args) -> int:
@@ -333,10 +325,8 @@ def _cmd_cf_identity(args) -> int:
         "threshold": args.threshold,
         "extras": rep.extras,
     }
-    _emit(args, "cf-identity", {"driver": driver.to_json()}, result)
-    if args.threshold is not None and rep.sup_discrepancy > args.threshold:
-        return 1
-    return 0
+    return _emit(args, "cf-identity", {"driver": driver.to_json()}, result, verdict=args.threshold is None
+                 or _decide(rep.empirical, rep.predicted, threshold=args.threshold)[4])
 
 
 def _cmd_ergodic(args) -> int:
@@ -360,8 +350,7 @@ def _cmd_ergodic(args) -> int:
         diag = ergodic_mod.convergence_diagnostic(run)
         result["median_gap"] = diag.median_gap
         result["gaps_decreasing"] = diag.decreasing
-    _emit(args, "ergodic", {"model": model.to_json()}, result, {"runs": (header, rows)})
-    return 0
+    return _emit(args, "ergodic", {"model": model.to_json()}, result, {"runs": (header, rows)})
 
 
 def _cmd_locscale_recover(args) -> int:
@@ -370,21 +359,19 @@ def _cmd_locscale_recover(args) -> int:
                                           budget=args.budget, seed=args.seed, rel_tol=args.rel_tol)
     result = {"location": rec.location, "scale": rec.scale,
               "bracket_width": rec.bracket_width, "samples": rec.samples}
-    _emit(args, "locscale-recover",
-          {"base": base.spec, "target_mean": args.target_mean, "target_pos_mean": args.target_pos_mean},
-          result)
-    return 0
+    return _emit(args, "locscale-recover",
+                 {"base": base.spec, "target_mean": args.target_mean, "target_pos_mean": args.target_pos_mean},
+                 result)
 
 
 def _cmd_zonotope(args) -> int:
     law = _load_law(args.law)
     z = zonotope_2d(law)
     result = {"n_generators": int(z.generators.shape[0]), "n_vertices": int(z.vertices.shape[0])}
-    _emit(args, "zonotope", {"law": law.to_json()}, result, {
+    return _emit(args, "zonotope", {"law": law.to_json()}, result, {
         "vertices": (["x", "y"], [tuple(v) for v in z.vertices.tolist()]),
         "generators": (["gx", "gy"], [tuple(g) for g in z.generators.tolist()]),
     })
-    return 0
 
 
 def _cmd_mean_width(args) -> int:
@@ -398,10 +385,8 @@ def _cmd_mean_width(args) -> int:
         "nodes": rep.nodes,
         "tol": args.tol,
     }
-    _emit(args, "mean-width", {"law": law.to_json()}, result)
-    if args.tol is not None and rep.abs_difference > args.tol:
-        return 1
-    return 0
+    return _emit(args, "mean-width", {"law": law.to_json()}, result, verdict=args.tol is None
+                 or _decide(rep.expected_norm, rep.identity_value, threshold=args.tol)[4])
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +551,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name in ("threshold", "tol", "rel_tol"):  # a command's raw threshold, refused before anything runs
+            if getattr(args, name, None) is not None:
+                _decide(threshold=getattr(args, name))
         return args.func(args)
     except DiagnosticError as exc:
         print(f"diagnostic failure: {exc}", file=sys.stderr)

@@ -85,8 +85,34 @@ def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
     """Per-comparison threshold; Bonferroni spreads the two-sided level of tau over m comparisons."""
     if not bonferroni:
         return tau
-    alpha = math.erfc(tau / math.sqrt(2.0))
-    return NormalDist().inv_cdf(1.0 - alpha / (2.0 * m))
+    level = math.erfc(tau / math.sqrt(2.0)) / (2.0 * m)
+    if level == 0.0:
+        raise ValueError(f"tau = {tau!r} is too large to spread over {m} comparisons: its level underflows")
+    return -NormalDist().inv_cdf(level)  # from the lower tail: 1 - level rounds to 1 once tau reaches 8
+
+
+def _decide(a=None, b=None, se=None, *, tau=None, m=None, bonferroni=False, threshold=EXACT_TOL):
+    """The one verdict rule: (scores, largest, worst, threshold, verdict) of the comparisons of ``a`` with ``b``.
+
+    A score is |a - b|, held to ``threshold``; with ``tau`` it is |a - b| over ``se`` floored at SE_FLOOR *
+    max(|a|, |b|), held to effective_tau(tau, m, bonferroni), m counting the comparisons (default: those given).
+    A tau not finite and > 0, or a threshold not finite and >= 0, is refused; without ``a`` the rule returns
+    the checked threshold.  The worst index is the first whose score ties the largest within _TIE_RTOL.
+    """
+    if tau is not None and not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    if tau is None and not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
+    limit = threshold if tau is None else effective_tau(tau, m or np.size(a), bonferroni)
+    if a is None:
+        return limit
+    scores = np.atleast_1d(np.abs(np.subtract(a, b)))
+    if tau is not None:
+        se = np.maximum(se, SE_FLOOR * np.maximum(np.abs(a), np.abs(b)))
+        scores = np.divide(scores, se, out=np.zeros_like(scores), where=se > 0)  # se is 0 only where a = b = 0
+    top = float(scores.max())
+    worst = int(np.argmax(scores >= top * (1.0 - _TIE_RTOL)))
+    return scores, top, worst, limit, bool(top <= limit)
 
 
 def _draw_pair(law_a, law_b, budget: int, rng):
@@ -119,32 +145,19 @@ def _compare(reduce, k: int, sides):
     return mom_a.mean, mom_b.mean, np.hypot(mom_a.se, mom_b.se), mode
 
 
-def _scores(h_a, h_b, pooled, mode: str) -> np.ndarray:
-    """Per-comparison score: |delta| in exact mode, else |delta| over the floored pooled SE."""
-    delta = np.abs(h_a - h_b)
+def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, perms=None) -> EquivalenceReport:
+    """Report over the grid; ``h_b`` may hold one block per permutation in ``perms``: the worst one's is kept."""
+    m = len(grid)
+    h_a = np.tile(h_a, len(h_b) // m)
+    _, max_std, worst, _, verdict = _decide(h_a, h_b, pooled, tau=tau if mode == "statistical" else None,
+                                            bonferroni=bonferroni)
     if mode == "exact":
-        return delta
-    se = np.maximum(pooled, SE_FLOOR * np.maximum(np.abs(h_a), np.abs(h_b)))
-    return np.divide(delta, se, out=np.zeros_like(delta), where=se > 0)  # se is 0 only where h_a = h_b = 0
-
-
-def _build_report(grid, h_a, h_b, pooled, mode, tau, crn, bonferroni, extras=None,
-                  comparisons=None) -> EquivalenceReport:
-    """Report over the grid; a statistical verdict spreads the level over ``comparisons`` (default: the grid)."""
-    h_a, h_b, pooled = map(np.asarray, (h_a, h_b, pooled))
-    score = _scores(h_a, h_b, pooled, mode)
-    top = score.max()
-    # the first tied index, so that ulp-level changes to tied scores keep the reported direction
-    worst = int(np.argmax(score >= top * (1.0 - _TIE_RTOL)))
-    if mode == "exact":
-        verdict = bool(top <= EXACT_TOL)
         max_std = 0.0 if verdict else math.inf  # an exact delta has SE 0
-    else:
-        max_std = float(top)
-        verdict = bool(max_std <= effective_tau(tau, comparisons or len(grid), bonferroni))
-    return EquivalenceReport(
-        grid, h_a, h_b, h_a - h_b, pooled, max_std, worst, verdict, mode, tau, crn, extras or {}
-    )
+    block, worst = divmod(worst, m)
+    at = slice(block * m, (block + 1) * m)
+    extras = {} if perms is None else {"worst_permutation": perms[block], "n_permutations": len(perms)}
+    return EquivalenceReport(grid, h_a[at], h_b[at], h_a[at] - h_b[at], pooled[at], max_std, worst, verdict,
+                             mode, tau, crn, extras)
 
 
 def test_zonoid_equiv(
@@ -178,6 +191,7 @@ def test_zonoid_equiv(
         raise ValueError(f"grid dimension {grid.dim} does not match laws of dimension {law_a.dim}")
     if kind not in ("centred", "max"):
         raise ValueError(f"unknown kind {kind!r}")
+    _decide(tau=tau, m=len(grid), bonferroni=bonferroni)  # before a row is drawn
     rng = as_rng(seed)
     given = [x for x in (samples_a, samples_b) if x is not None]
     if samples_coupled and len(given) == 2 and samples_a.shape[0] == samples_b.shape[0]:
@@ -207,6 +221,9 @@ def test_max_zonoid_equiv(
     For positive laws this must agree with the centred-zonoid verdict; a
     decisive disagreement is an implementation bug and raises.
     """
+    if grid is None:
+        grid = DirectionGrid.default(law_a.dim)
+    limit = _decide(tau=tau, m=len(grid), bonferroni=bonferroni)  # before a row is drawn
     rng = as_rng(seed)
     for law in (law_a, law_b):
         require_positive(law, min(budget, 4096), rng, "max-zonoid comparison")
@@ -218,10 +235,8 @@ def test_max_zonoid_equiv(
             raise InternalConsistencyError(
                 "max-zonoid and centred-zonoid verdicts disagree on exact laws"
             )
-        t = effective_tau(tau, len(report.grid), bonferroni)
-        failing = report if not report.verdict else zono
-        passing = zono if not report.verdict else report
-        if failing.max_standardized > 2.0 * t and passing.max_standardized < t:
+        passing, failing = sorted((report.max_standardized, zono.max_standardized))
+        if failing > 2.0 * limit and passing < limit:
             raise InternalConsistencyError(
                 "max-zonoid and centred-zonoid verdicts disagree beyond statistical tolerance"
             )
@@ -284,9 +299,9 @@ def test_swap_invariance(
     exact law, else on one sample, where the kernel projects it once per
     distinct direction and standardizes each pair (u, pi^-1 u) by its paired
     standard error.  Either way a direction that pi fixes, or maps to its
-    antipode, gets delta exactly 0.  The report keeps the permutation with the
-    worst comparison, and ``bonferroni`` spreads the level over directions x
-    permutations.
+    antipode, gets delta exactly 0.  All directions x permutations are decided
+    together, ``bonferroni`` spreading the level over all of them, and the
+    report keeps the permutation of the first comparison tied to the worst.
     """
     if law.dim < 2:
         raise ValueError("swap-invariance needs d >= 2")
@@ -296,18 +311,14 @@ def test_swap_invariance(
         grid = DirectionGrid.default(law.dim)
     dirs = grid.directions
     m, p = len(grid), len(perms)
+    _decide(tau=tau, m=m * p, bonferroni=bonferroni)  # before a row is drawn
     inverses = np.argsort(np.array(perms), axis=1)
     # rows [0, m) are the grid, rows [(i + 1) m, (i + 2) m) its image under pi_i^-1
     orbit = np.concatenate([dirs[None], dirs[:, inverses].transpose(1, 0, 2)]).reshape(-1, law.dim)
     mom = side_moments(law if is_exact_law(law) else law_rows(budget, rng, law), orbit,
                        pairs=(np.tile(np.arange(m), p), np.arange(m, (p + 1) * m)))
     mode = "exact" if mom.n == 0 else "statistical"
-    # all m x p comparisons in one pass; the report keeps the permutation of the first worst one
-    h_a, h_b, pooled = mom.mean[:m], mom.mean[m:], mom.paired_se
-    row = int(_scores(np.tile(h_a, p), h_b, pooled, mode).argmax()) // m
-    at = slice(row * m, (row + 1) * m)
-    return _build_report(grid, h_a, h_b[at], pooled[at], mode, tau, mom.n > 0, bonferroni,
-                         {"worst_permutation": perms[row], "n_permutations": p}, comparisons=m * p)
+    return _build_report(grid, mom.mean[:m], mom.mean[m:], mom.paired_se, mode, tau, mom.n > 0, bonferroni, perms)
 
 
 def test_lift_swap_invariance(
@@ -568,6 +579,7 @@ def test_even_homogeneous(
     if law_a.dim != law_b.dim:
         raise ValueError("dimension mismatch")
     d = law_a.dim
+    _decide(tau=tau)  # before a row is drawn
     rng = as_rng(seed)
     checks = spawn_rngs(rng, 1)[0]  # a child stream: the samples do not depend on the functionals
     if functions is None:
@@ -579,9 +591,9 @@ def test_even_homogeneous(
     fns = [fn for _, fn in functions]
     mean_a, mean_b, pooled, _ = _compare(lambda s, pairs=None: functional_moments(s, fns, pairs=pairs),
                                          len(fns), sides)
-    max_std = float(_scores(mean_a, mean_b, pooled, "statistical").max())
+    _, max_std, _, _, verdict = _decide(mean_a, mean_b, pooled, tau=tau)
     return EvenHomogeneousReport(tuple(n for n, _ in functions), mean_a, mean_b, mean_a - mean_b, pooled,
-                                 max_std, bool(max_std <= tau), tau, len(sides) == 1)
+                                 max_std, verdict, tau, len(sides) == 1)
 
 
 # these testers are library API, not pytest cases; stop pytest from collecting

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundedSupportError, SchemaError
+from .invariance import _decide
 from .laws import (
     LognormalLaw,
     SamplerLaw,
@@ -203,19 +204,18 @@ def check_log_id_equiv(t1: LevyTriplet, t2: LevyTriplet, tol: float = 1e-9) -> L
     if t1.dim != t2.dim:
         raise ValueError("dimension mismatch")
     d = t1.dim
-    exp_devs = [abs(expectation_condition(t1, i) - expectation_condition(t2, i)) for i in range(d)]
-    expectation_ok = max(exp_devs) <= tol
+    _, exp_dev, _, _, expectation_ok = _decide([expectation_condition(t1, i) for i in range(d)],
+                                                [expectation_condition(t2, i) for i in range(d)], threshold=tol)
     if d == 1:
-        return LogIdEquivReport(expectation_ok, None, None, expectation_ok, 0.0, max(exp_devs))
-    gdev = float(np.abs(variogram(t1.A) - variogram(t2.A)).max())
-    variogram_ok = gdev <= tol
+        return LogIdEquivReport(expectation_ok, None, None, expectation_ok, 0.0, exp_dev)
+    _, gdev, _, _, variogram_ok = _decide(variogram(t1.A), variogram(t2.A), threshold=tol)
     push_ok = measures_close(
         *tilted_pushforward(t1.nu_atoms, t1.nu_masses),
         *tilted_pushforward(t2.nu_atoms, t2.nu_masses),
         mass_tol=tol,
     )
     verdict = bool(variogram_ok and push_ok and expectation_ok)
-    return LogIdEquivReport(verdict, variogram_ok, push_ok, expectation_ok, gdev, max(exp_devs))
+    return LogIdEquivReport(verdict, variogram_ok, push_ok, expectation_ok, gdev, exp_dev)
 
 
 @dataclass(frozen=True)
@@ -236,11 +236,10 @@ def check_lognormal_equiv(l1: LognormalLaw, l2: LognormalLaw, tol: float = 1e-9)
     g1, g2 = l1.gaussian, l2.gaussian
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
-    m1 = g1.mean_vec + 0.5 * np.diag(g1.cov)
-    m2 = g2.mean_vec + 0.5 * np.diag(g2.cov)
-    mdev = float(np.abs(m1 - m2).max())
-    gdev = float(np.abs(variogram(g1.cov) - variogram(g2.cov)).max())
-    return LognormalEquivReport(mdev <= tol and gdev <= tol, mdev <= tol, gdev <= tol, mdev, gdev)
+    _, mdev, _, _, mean_ok = _decide(g1.mean_vec + 0.5 * np.diag(g1.cov), g2.mean_vec + 0.5 * np.diag(g2.cov),
+                                     threshold=tol)
+    _, gdev, _, _, variogram_ok = _decide(variogram(g1.cov), variogram(g2.cov), threshold=tol)
+    return LognormalEquivReport(mean_ok and variogram_ok, mean_ok, variogram_ok, mdev, gdev)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +285,8 @@ def cf_criterion(law_a, law_b, u=None, w=None, tol: float = 1e-10,
     va = np.array([law_a.cf(uu - 1j * w) for uu in us])
     vb = np.array([law_b.cf(uu - 1j * w) for uu in us])
     scale = max(1.0, float(np.abs(va).max()), float(np.abs(vb).max()))
-    diff = float(np.abs(va - vb).max())
-    return CFCriterionReport(us, w, va, vb, diff, diff <= tol * scale)
+    _, diff, _, _, verdict = _decide(va, vb, threshold=tol * scale)
+    return CFCriterionReport(us, w, va, vb, diff, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +307,8 @@ def check_elliptical_equiv(e1, e2, tol: float = 1e-9) -> EllipticalEquivReport:
         raise ValueError("dimension mismatch")
     s1 = (e1.radial_mean ** 2) * (e1.matrix @ e1.matrix.T)
     s2 = (e2.radial_mean ** 2) * (e2.matrix @ e2.matrix.T)
-    dev = float(np.abs(s1 - s2).max())
-    return EllipticalEquivReport(dev <= tol, dev, s1, s2)
+    _, dev, _, _, verdict = _decide(s1, s2, threshold=tol)
+    return EllipticalEquivReport(verdict, dev, s1, s2)
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,8 @@ def recover_location_scale(base: ScalarBase, zonoid_mean: float, zonoid_pos_mean
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("bisection bracket exploded; targets look inconsistent with the base")
-    while hi - lo > rel_tol * hi:
+    # the bisection also stops at two adjacent floats, which no midpoint splits, so any rel_tol >= 0 ends it
+    while hi - lo > rel_tol * hi and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if objective(mid) < target:
             lo = mid
@@ -392,7 +392,7 @@ def brown_resnick_condition(times, mu, sigma2, *, cov=None, increments_stationar
         raise ValueError("variance values are required")
     vals = mu + 0.5 * sigma2
     c = float(vals.mean())
-    dev = float(np.abs(vals - c).max())
+    _, dev, _, _, constant = _decide(vals, c, threshold=tol)
 
     if cov is not None:
         cov = np.asarray(cov, dtype=float)
@@ -410,7 +410,7 @@ def brown_resnick_condition(times, mu, sigma2, *, cov=None, increments_stationar
         lag_ok = bool(increments_stationary)
     else:
         raise ValueError("provide a covariance matrix or an increments-stationarity certificate")
-    return BrownResnickReport(dev <= tol and lag_ok, c, dev, lag_ok)
+    return BrownResnickReport(constant and lag_ok, c, dev, lag_ok)
 
 
 # ---------------------------------------------------------------------------

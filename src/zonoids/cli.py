@@ -143,7 +143,7 @@ def _emit(args, command: str, inputs: dict, result: dict, tables: dict | None = 
         "result": result,
     }
     tables = tables or {}
-    if args.format == "csv":
+    if getattr(args, "format", "json") == "csv":
         attachments = {}
         base, _ = os.path.splitext(args.out)
         for name, (header, rows) in tables.items():
@@ -403,15 +403,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, *, seed_required: bool, budget: bool = True, tau: bool = False, grid: bool = False,
-                workers: bool = False):
+def _add_common(p, *, seed: str | None, tables: bool = False, budget: bool = True, tau: bool = False,
+                grid: bool = False, workers: bool = False):
+    """Shared options, each offered only where it can change the output: ``seed`` is "required", "optional"
+    or None (draws nothing), and only a command whose report holds a table takes --format."""
     p.add_argument("--out", required=True, help="output path for the JSON report")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="inline tables (json) or CSV attachments (csv)")
-    p.add_argument("--seed", type=int, required=seed_required, default=None,
-                   help="RNG seed (explicit seeds only; no environment fallback)")
+    if tables:
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="inline tables (json) or CSV attachments (csv)")
+    if seed is not None:
+        p.add_argument("--seed", type=int, required=seed == "required", default=None,
+                       help="RNG seed (explicit seeds only; no environment fallback)")
     if workers:
-        # only the path-parallel commands take it: every option enters the config hash
         p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                        help="worker pool size for path-parallel work (LePage max mode runs on one thread)")
     if budget:
@@ -436,52 +439,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", required=True)
     p.add_argument("--kind", choices=("centred", "noncentred", "lift", "max"), default="centred")
     p.add_argument("--k", type=float, default=0.0, help="lift level (kind=lift)")
-    _add_common(p, seed_required=False, tau=False, grid=True)
+    _add_common(p, seed="optional", tables=True, grid=True)
     p.set_defaults(func=_cmd_support)
 
     p = sub.add_parser("equiv", help="zonoid equivalence of two laws")
     p.add_argument("--law-a", required=True)
     p.add_argument("--law-b", required=True)
-    _add_common(p, seed_required=True, tau=True, grid=True)
+    _add_common(p, seed="required", tables=True, tau=True, grid=True)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("swap", help="swap-invariance of a law")
     p.add_argument("--law", required=True)
     p.add_argument("--perms", default="all", help="'all' (d <= 6) or a sample count")
-    _add_common(p, seed_required=True, tau=True, grid=True)
+    _add_common(p, seed="required", tables=True, tau=True, grid=True)
     p.set_defaults(func=_cmd_swap)
 
     p = sub.add_parser("lift-swap", help="swap-invariance of the lifted vector (1, xi)")
     p.add_argument("--law", required=True)
-    _add_common(p, seed_required=True, tau=True, grid=True)
+    _add_common(p, seed="required", tables=True, tau=True, grid=True)
     p.set_defaults(func=_cmd_lift_swap)
 
     p = sub.add_parser("stationarity", help="zonoid stationarity of a process under a shift")
     p.add_argument("--process", required=True)
     p.add_argument("--times", required=True, help="comma-separated times")
     p.add_argument("--shift", type=float, required=True)
-    _add_common(p, seed_required=True, tau=True, grid=True)
+    _add_common(p, seed="required", tables=True, tau=True, grid=True)
     p.set_defaults(func=_cmd_stationarity)
 
     p = sub.add_parser("levy-check", help="triplet conditions for log-infinitely-divisible laws")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p, seed_required=False, budget=False)
+    _add_common(p, seed=None, budget=False)
     p.set_defaults(func=_cmd_levy_check)
 
     p = sub.add_parser("lognormal-check", help="closed-form lognormal equivalence")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p, seed_required=False, budget=False)
+    _add_common(p, seed=None, budget=False)
     p.set_defaults(func=_cmd_lognormal_check)
 
     p = sub.add_parser("elliptical-check", help="closed-form elliptical equivalence")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p, seed_required=False, budget=False)
+    _add_common(p, seed=None, budget=False)
     p.set_defaults(func=_cmd_elliptical_check)
 
     p = sub.add_parser("cf-check", help="characteristic-function criterion on the zero-sum plane")
@@ -490,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default=None, help="tilt vector, comma-separated (default barycentric)")
     p.add_argument("--n-dirs", type=int, default=32)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_common(p, seed_required=True, budget=False)
+    _add_common(p, seed="required", budget=False)
     p.set_defaults(func=_cmd_cf_check)
 
     p = sub.add_parser("lepage", help="simulate the 1-stable or max-stable series")
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=lambda s: int(float(s)), default=1_000)
     p.add_argument("--bound", type=float, default=None,
                    help="max mode: a true upper bound on every mark coordinate, finite and > 0 (early exit)")
-    _add_common(p, seed_required=True, budget=False, workers=True)
+    _add_common(p, seed="required", budget=False, workers=True)
     p.set_defaults(func=_cmd_lepage)
 
     p = sub.add_parser("cf-identity", help="empirical CF of the 1-stable series vs its closed form")
@@ -510,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=lambda s: int(float(s)), default=100_000)
     p.add_argument("--threshold", type=float, default=None,
                    help="fail (exit 1) when the sup discrepancy exceeds this")
-    _add_common(p, seed_required=True, workers=True)
+    _add_common(p, seed="required", workers=True)
     p.set_defaults(func=_cmd_cf_identity)
 
     p = sub.add_parser("ergodic", help="running averages of a swap-invariant sequence")
     p.add_argument("--model", required=True)
     p.add_argument("--checkpoints", default="100,1000,10000,100000")
     p.add_argument("--paths", type=int, default=50)
-    _add_common(p, seed_required=True, budget=False, workers=True)
+    _add_common(p, seed="required", tables=True, budget=False, workers=True)
     p.set_defaults(func=_cmd_ergodic)
 
     p = sub.add_parser("locscale-recover", help="recover location and scale from zonoid data")
@@ -525,12 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-mean", type=float, required=True)
     p.add_argument("--target-pos-mean", type=float, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    _add_common(p, seed_required=True)
+    _add_common(p, seed="required")
     p.set_defaults(func=_cmd_locscale_recover)
 
     p = sub.add_parser("zonotope", help="vertices of the centred zonogon of a planar discrete law")
     p.add_argument("--law", required=True)
-    _add_common(p, seed_required=False, budget=False)
+    _add_common(p, seed=None, tables=True, budget=False)
     p.set_defaults(func=_cmd_zonotope)
 
     p = sub.add_parser("mean-width", help="expected norm against the mean-width functional")
@@ -538,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=lambda s: int(float(s)), default=10_000)
     p.add_argument("--tol", type=float, default=None,
                    help="fail (exit 1) when the absolute difference exceeds this")
-    _add_common(p, seed_required=False)
+    _add_common(p, seed="optional")
     p.set_defaults(func=_cmd_mean_width)
 
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -34,7 +35,6 @@ _TIE_RTOL = 1e-12
 
 __all__ = [
     "EquivalenceReport",
-    "MeasureChangedLaw",
     "test_zonoid_equiv",
     "test_max_zonoid_equiv",
     "test_swap_invariance",
@@ -44,7 +44,6 @@ __all__ = [
     "test_relations_theorem",
     "test_zonoid_stationarity",
     "test_even_homogeneous",
-    "canonical_discrete",
     "discrete_equal_in_distribution",
     "is_exchangeable_discrete",
 ]
@@ -81,6 +80,13 @@ class EquivalenceReport:
             yield (*u.tolist(), float(a), float(b), float(d), float(s))
 
 
+def _log_upper_tail(z: float) -> tuple[float, float]:
+    """log Q(z) for the standard normal upper tail Q, and its slope, from the Mills-ratio series to z^-8 (z > 37)."""
+    r = z ** -2
+    series = 1.0 - r * (1.0 - 3.0 * r * (1.0 - 5.0 * r * (1.0 - 7.0 * r)))
+    return -0.5 * z * z - math.log(z * math.sqrt(2.0 * math.pi)) + math.log(series), -z / series
+
+
 def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
     """Per-comparison threshold; Bonferroni spreads the two-sided level of tau over m comparisons."""
     if not bonferroni:
@@ -88,7 +94,14 @@ def effective_tau(tau: float, m: int, bonferroni: bool) -> float:
     level = math.erfc(tau / math.sqrt(2.0)) / (2.0 * m)
     if level == 0.0:
         raise ValueError(f"tau = {tau!r} is too large to spread over {m} comparisons: its level underflows")
-    return -NormalDist().inv_cdf(level)  # from the lower tail: 1 - level rounds to 1 once tau reaches 8
+    if level >= sys.float_info.min:
+        return -NormalDist().inv_cdf(level)  # from the lower tail: 1 - level rounds to 1 once tau reaches 8
+    # a subnormal level has lost digits: solve log Q(z) = log Q(tau) - log m by Newton's method instead
+    target, z = _log_upper_tail(tau)[0] - math.log(m), tau
+    for _ in range(8):  # a nonzero level keeps z within 1 of tau, where 3 steps reach the last digit
+        log_q, slope = _log_upper_tail(z)
+        z -= (log_q - target) / slope
+    return z
 
 
 def _decide(a=None, b=None, se=None, *, tau=None, m=None, bonferroni=False, threshold=EXACT_TOL):
@@ -381,39 +394,26 @@ def check_positivity_necessity(law, budget: int = DEFAULT_BUDGET, seed=None) -> 
 # measure change and the ratio-vector equivalences
 # ---------------------------------------------------------------------------
 
-def canonical_discrete(law: DiscreteLaw, atom_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographically sorted atoms with near-duplicates merged."""
-    return merge_atoms(law.atoms, law.weights, atom_tol)
+def discrete_equal_in_distribution(a: DiscreteLaw, b: DiscreteLaw) -> bool:
+    return measures_close(a.atoms, a.weights, b.atoms, b.weights, mass_tol=1e-12)
 
 
-def discrete_equal_in_distribution(a: DiscreteLaw, b: DiscreteLaw,
-                                   atom_tol: float = 1e-9, mass_tol: float = 1e-12) -> bool:
-    return measures_close(a.atoms, a.weights, b.atoms, b.weights, atom_tol, mass_tol)
-
-
-def is_exchangeable_discrete(law: DiscreteLaw, atom_tol: float = 1e-9, mass_tol: float = 1e-10) -> bool:
+def is_exchangeable_discrete(law: DiscreteLaw) -> bool:
     """Exact distributional invariance under every coordinate permutation."""
     if law.dim == 1:
         return True
     for perm in itertools.permutations(range(law.dim)):
         if perm == tuple(range(law.dim)):
             continue
-        if not discrete_equal_in_distribution(law, permute_law(law, perm), atom_tol, mass_tol):
+        permuted = permute_law(law, perm)
+        if not measures_close(law.atoms, law.weights, permuted.atoms, permuted.weights, mass_tol=1e-10):
             return False
     return True
 
 
-@dataclass(frozen=True)
-class MeasureChangedLaw:
-    """Ratio vector under the pivot-reweighted measure."""
-
-    base: DiscreteLaw
-    pivot: int
-    result: DiscreteLaw
-
-
-def measure_change(base: DiscreteLaw, pivot: int) -> MeasureChangedLaw:
-    """Reweight by eta_pivot / E eta_pivot and map atoms to ratios.
+def measure_change(base: DiscreteLaw, pivot: int) -> DiscreteLaw:
+    """The ratio vector under the pivot-reweighted measure: reweight by
+    eta_pivot / E eta_pivot and map atoms to ratios.
 
     The pivot coordinate is dropped; coincident ratio atoms merge.  ``pivot``
     is a 0-based index.
@@ -436,8 +436,8 @@ def measure_change(base: DiscreteLaw, pivot: int) -> MeasureChangedLaw:
     total = new_w.sum()
     if abs(total - 1.0) > 1e-12:
         raise InternalConsistencyError(f"reweighted mass {total!r} deviates from 1")
-    atoms, weights = merge_atoms(ratios, new_w / total, tol=1e-9)
-    return MeasureChangedLaw(base, pivot, DiscreteLaw(atoms, weights / weights.sum()))
+    atoms, weights = merge_atoms(ratios, new_w / total)
+    return DiscreteLaw(atoms, weights / weights.sum())
 
 
 @dataclass(frozen=True)
@@ -458,25 +458,25 @@ class RelationsReport:
         return ok
 
 
-def test_relations_theorem(base: DiscreteLaw, grid: DirectionGrid | None = None,
-                           tau: float = 3.0) -> RelationsReport:
+def test_relations_theorem(base: DiscreteLaw) -> RelationsReport:
     """Exact verdicts for: (a) swap-invariance of the positive vector, (b) lift
-    swap-invariance of each ratio vector under its reweighted measure, and,
-    for d >= 3, (c) exchangeability of the ratio vectors for at least two
-    pivots.  The three must agree; disagreement raises loudly.
+    swap-invariance of each ratio vector under its reweighted measure, both
+    over the default grid, and, for d >= 3, (c) exchangeability of the ratio
+    vectors for at least two pivots.  The three must agree; disagreement
+    raises loudly.
     """
     d = base.dim
     if d < 2:
         raise ValueError("relations need d >= 2")
     if not base.is_positive():
         raise ValueError("the base law must be positive")
-    verdict_a = test_swap_invariance(base, "all", grid, tau=tau).verdict
+    verdict_a = test_swap_invariance(base, "all").verdict
 
     lifts = []
     exch = []
     for j in range(d):
-        changed = measure_change(base, j).result
-        lifts.append(test_lift_swap_invariance(changed, tau=tau).verdict)
+        changed = measure_change(base, j)
+        lifts.append(test_lift_swap_invariance(changed).verdict)
         exch.append(is_exchangeable_discrete(changed))
     if len(set(lifts)) > 1:
         raise InternalConsistencyError(
@@ -517,16 +517,16 @@ def test_zonoid_stationarity(
     return report
 
 
-def builtin_even_homogeneous_family(d: int, seed=0, n_polytopes: int = 2) -> list[tuple[str, callable]]:
+def builtin_even_homogeneous_family(d: int, seed=0) -> list[tuple[str, callable]]:
     """Library of even 1-homogeneous test functionals on R^d.
 
-    The 1-, 2- and inf-norms, and symmetrized support functions of random
+    The 1-, 2- and inf-norms, and symmetrized support functions of two random
     polytopes.
     """
     fns = [("norm-1", lambda x: np.abs(x).sum(axis=1)), ("norm-2", lambda x: np.linalg.norm(x, axis=1)),
            ("norm-inf", lambda x: np.abs(x).max(axis=1))]
     rng = as_rng(seed)
-    for i in range(n_polytopes):
+    for i in range(2):
         verts = rng.standard_normal((d + 3, d))
         # h_P(x) + h_P(-x) = max_v <x, v> - min_v <x, v>
         fns.append((f"sym-polytope-{i}", lambda x, v=verts: np.ptp(x @ v.T, axis=1)))

@@ -25,6 +25,7 @@ from .rng import as_rng
 WEIGHT_TOL = 1e-12
 SYM_TOL = 1e-12
 EIG_FLOOR = -1e-10
+_ATOM_TOL = 1e-9  # atoms of a discrete measure this close (max norm) are one atom
 
 
 def _as_array(x, name: str, ndim: int) -> np.ndarray:
@@ -571,8 +572,8 @@ def require_symmetric(law, pilot: int, rng, what: str) -> None:
         raise ValueError(f"{what} needs a symmetric law")
 
 
-def merge_atoms(atoms: np.ndarray, masses: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographically sorted atoms; an atom within ``tol`` (max norm) of the
+def merge_atoms(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically sorted atoms; an atom within _ATOM_TOL (max norm) of the
     first atom of the run before it merges into that run by mass addition."""
     if atoms.shape[0] == 0:
         return atoms, masses
@@ -580,7 +581,7 @@ def merge_atoms(atoms: np.ndarray, masses: np.ndarray, tol: float) -> tuple[np.n
     atoms, masses = atoms[order], masses[order]
     out_a, out_m = [atoms[0]], [masses[0]]
     for a, m in zip(atoms[1:], masses[1:]):
-        if np.abs(a - out_a[-1]).max() <= tol:
+        if np.abs(a - out_a[-1]).max() <= _ATOM_TOL:
             out_m[-1] += m
         else:
             out_a.append(a)
@@ -588,17 +589,17 @@ def merge_atoms(atoms: np.ndarray, masses: np.ndarray, tol: float) -> tuple[np.n
     return np.array(out_a), np.array(out_m)
 
 
-def measures_close(atoms_a, masses_a, atoms_b, masses_b, atom_tol: float = 1e-9, mass_tol: float = 1e-9) -> bool:
+def measures_close(atoms_a, masses_a, atoms_b, masses_b, mass_tol: float) -> bool:
     """Whether two finite discrete measures agree once merged: same number of
-    atoms, atoms within ``atom_tol`` and masses within ``mass_tol``."""
-    atoms_a, masses_a = merge_atoms(np.asarray(atoms_a, float), np.asarray(masses_a, float), atom_tol)
-    atoms_b, masses_b = merge_atoms(np.asarray(atoms_b, float), np.asarray(masses_b, float), atom_tol)
+    atoms, atoms within _ATOM_TOL and masses within ``mass_tol``."""
+    atoms_a, masses_a = merge_atoms(np.asarray(atoms_a, float), np.asarray(masses_a, float))
+    atoms_b, masses_b = merge_atoms(np.asarray(atoms_b, float), np.asarray(masses_b, float))
     if atoms_a.shape != atoms_b.shape:
         return False
     if atoms_a.shape[0] == 0:
         return True
     return bool(
-        np.abs(atoms_a - atoms_b).max() <= atom_tol and np.abs(masses_a - masses_b).max() <= mass_tol
+        np.abs(atoms_a - atoms_b).max() <= _ATOM_TOL and np.abs(masses_a - masses_b).max() <= mass_tol
     )
 
 

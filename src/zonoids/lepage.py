@@ -29,6 +29,8 @@ _BLOCK = 128  # draw granularity in max mode; fixed so prefixes agree across dep
 # paths per batch, 0.041 s at 16 and 0.033-0.036 s from 32 to 128
 # (BENCH_lepage_layout.json, "batch_size").
 _BATCH = 32
+_N_BOOT = 200  # bootstrap resamples behind each cf_check SE
+_KS_PROJECTIONS, _KS_ALPHA = 6, 0.01  # stationarity_cross_check: random projections past the axes, and their level
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,7 @@ class CFReport:
     extras: dict = field(default_factory=dict)
 
 
-def cf_check(cfg: LePageConfig, u_grid, budget: int = DEFAULT_BUDGET,
-             n_boot: int = 200, workers: int = 1) -> CFReport:
+def cf_check(cfg: LePageConfig, u_grid, budget: int = DEFAULT_BUDGET, workers: int = 1) -> CFReport:
     """Empirical CF of the simulated 1-stable sum against exp(-pi/2 E|<u, xi>|)."""
     if cfg.mode != "sum":
         raise ValueError("the CF identity applies to sum mode")
@@ -194,8 +195,8 @@ def cf_check(cfg: LePageConfig, u_grid, budget: int = DEFAULT_BUDGET,
 
     boot_rng = np.random.default_rng((cfg.seed, 0xB007))
     n = phases.shape[0]
-    boots = np.empty((n_boot, us.shape[0]))
-    for b in range(n_boot):
+    boots = np.empty((_N_BOOT, us.shape[0]))
+    for b in range(_N_BOOT):
         idx = boot_rng.integers(0, n, n)
         boots[b] = np.abs(phases[idx].mean(axis=0) - predicted)
     se = boots.std(axis=0, ddof=1)
@@ -259,8 +260,6 @@ def stationarity_cross_check(
     budget: int = DEFAULT_BUDGET,
     tau: float = 3.0,
     seed: int = 0,
-    n_projections: int = 6,
-    alpha: float = 0.01,
     workers: int = 1,
 ) -> StationarityCrossCheck:
     """Two routes to the same stationarity question, which must agree.
@@ -288,11 +287,11 @@ def stationarity_cross_check(
         sim_a = simulate_lepage(LePageConfig(law_a, mode, n_terms, paths, seed * 1000 + 2 * k), workers)
         sim_b = simulate_lepage(LePageConfig(law_b, mode, n_terms, paths, seed * 1000 + 2 * k + 1), workers)
         d = law_a.dim
-        dirs = as_rng((seed, k)).standard_normal((n_projections, d))
+        dirs = as_rng((seed, k)).standard_normal((_KS_PROJECTIONS, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = np.vstack([np.eye(d), dirs])
         pvals = [_ks_2samp(sim_a.values @ v, sim_b.values @ v)[1] for v in dirs]
         min_ps.append(float(min(pvals)))
     zonoid_pass = all(zonoid_verdicts)
-    sim_pass = all(p >= alpha / (n_projections + len(times)) for p in min_ps)
-    return StationarityCrossCheck(zonoid_pass, sim_pass, tuple(zonoid_verdicts), tuple(min_ps), alpha)
+    sim_pass = all(p >= _KS_ALPHA / (_KS_PROJECTIONS + len(times)) for p in min_ps)
+    return StationarityCrossCheck(zonoid_pass, sim_pass, tuple(zonoid_verdicts), tuple(min_ps), _KS_ALPHA)

@@ -30,7 +30,6 @@ from .laws import (
 from .rng import as_rng
 
 PSD_TOL = 1e-10
-ATOM_MERGE_TOL = 1e-9
 _EXP_ARG_MAX = 700.0  # exp overflows past this in float64
 
 
@@ -143,7 +142,7 @@ def u_matrix(d: int) -> np.ndarray:
     return u
 
 
-def tilted_pushforward(nu_atoms, nu_masses, *, merge_tol: float = ATOM_MERGE_TOL):
+def tilted_pushforward(nu_atoms, nu_masses):
     """Image of e^{x_d} d nu(x) under the difference map, away from the origin.
 
     Each atom x with mass m maps to U x with mass m e^{x_d}; atoms with all
@@ -162,7 +161,7 @@ def tilted_pushforward(nu_atoms, nu_masses, *, merge_tol: float = ATOM_MERGE_TOL
     images = atoms[:, :-1] - atoms[:, -1:]
     tilted = masses * np.exp(atoms[:, -1])
     keep = np.abs(images).max(axis=1) > 1e-12 if images.size else np.zeros(0, bool)
-    return merge_atoms(images[keep], tilted[keep], merge_tol)
+    return merge_atoms(images[keep], tilted[keep])
 
 
 def expectation_condition(t: LevyTriplet, i: int) -> float:
@@ -395,17 +394,11 @@ def brown_resnick_condition(times, mu, sigma2, *, cov=None, increments_stationar
     _, dev, _, _, constant = _decide(vals, c, threshold=tol)
 
     if cov is not None:
-        cov = np.asarray(cov, dtype=float)
-        gamma = variogram(cov)
-        lags: dict[float, float] = {}
-        lag_ok = True
-        for i in range(len(times)):
-            for j in range(i + 1, len(times)):
-                lag = round(abs(times[i] - times[j]), 12)
-                g = gamma[i, j]
-                if lag in lags and abs(lags[lag] - g) > tol:
-                    lag_ok = False
-                lags.setdefault(lag, g)
+        # each pair's variogram value against the first one, in row-major pair order, at its rounded lag
+        i, j = np.triu_indices(len(times), 1)
+        gamma = variogram(cov)[i, j]
+        _, first, at = np.unique(np.round(np.abs(times[i] - times[j]), 12), return_index=True, return_inverse=True)
+        lag_ok = gamma.size == 0 or _decide(gamma, gamma[first][at], threshold=tol)[4]
     elif increments_stationary is not None:
         lag_ok = bool(increments_stationary)
     else:

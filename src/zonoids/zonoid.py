@@ -121,13 +121,13 @@ class DirectionGrid:
         return cls(pts, f"fibonacci:{m}")
 
     @classmethod
-    def axes_and_diagonals(cls, d: int, max_diagonals: int = 64, seed=0) -> "DirectionGrid":
-        """All +-e_i plus normalized sign diagonals (subsampled past 2^d > max)."""
+    def axes_and_diagonals(cls, d: int) -> "DirectionGrid":
+        """All +-e_i plus normalized sign diagonals (64 seeded ones past d = 6)."""
         axes = np.vstack([np.eye(d), -np.eye(d)])
-        if 2 ** d <= max_diagonals:
+        if d <= 6:
             signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).T.reshape(-1, d)
         else:
-            signs = as_rng(seed).choice([-1.0, 1.0], size=(max_diagonals, d))
+            signs = as_rng(0).choice([-1.0, 1.0], size=(64, d))
         diag = signs / math.sqrt(d)
         return cls(np.vstack([axes, diag]), "axis-and-diagonals")
 

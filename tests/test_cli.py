@@ -480,15 +480,30 @@ _COMMANDS = ("support", "equiv", "swap", "lift-swap", "stationarity", "levy-chec
              "mean-width")
 
 
-def test_workers_is_offered_only_by_the_path_parallel_commands(capsys):
+# each option is offered exactly where it can change the output: --seed by the commands that draw,
+# --format by those whose report holds a table, --workers by the path-parallel ones
+_OFFERED = {
+    "--seed": set(_COMMANDS) - {"levy-check", "lognormal-check", "elliptical-check", "zonotope"},
+    "--format": {"support", "equiv", "swap", "lift-swap", "stationarity", "ergodic", "zonotope"},
+    "--workers": {"lepage", "cf-identity", "ergodic"},
+}
+
+
+def test_each_option_is_offered_only_where_it_can_change_the_output(tmp_path, capsys):
+    import argparse
+
     assert main(["--help"]) == 0
     assert "{" + ",".join(_COMMANDS) + "}" in capsys.readouterr().out
-    offered = set()
-    for command in _COMMANDS:
-        assert main([command, "--help"]) == 0
-        if "--workers" in capsys.readouterr().out:
-            offered.add(command)
-    assert offered == {"lepage", "cf-identity", "ergodic"}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+    assert {option: {command for command, p in sub.choices.items() if option in p._option_string_actions}
+            for option in _OFFERED} == _OFFERED
+    out = tmp_path / "rep.json"
+    for argv in (["zonotope", "--law", "law.json", "--seed", "1"], ["zonotope", "--law", "law.json", "--workers", "2"],
+                 ["lepage", "--driver", "d.json", "--mode", "max", "--seed", "1", "--format", "csv"]):
+        assert run([*argv, "--out", out]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -645,6 +660,7 @@ def test_report_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, comma
     written = []
     for workers in ("1", "2"):
         (tmp_path / workers).mkdir()
-        assert run([*argv, "--workers", workers, "--format", "csv", "--out", f"{workers}/rep.json"]) == 0
+        layout = ["--format", "csv"] if command == "ergodic" else []  # the only one of the three with a table
+        assert run([*argv, "--workers", workers, *layout, "--out", f"{workers}/rep.json"]) == 0
         written.append({p.name: strip_timestamp(p.read_text()) for p in (tmp_path / workers).iterdir()})
     assert "rep.json" in written[0] and written[0] == written[1]

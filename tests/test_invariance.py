@@ -6,7 +6,6 @@ import pytest
 
 from zonoids.errors import InternalConsistencyError
 from zonoids.invariance import (
-    canonical_discrete,
     check_positivity_necessity,
     discrete_equal_in_distribution,
     is_exchangeable_discrete,
@@ -27,6 +26,7 @@ from zonoids.laws import (
     gbm_process,
     law_mean,
     lognormal_swap_law,
+    merge_atoms,
     permute_law,
 )
 from zonoids.levy import check_lognormal_equiv
@@ -286,7 +286,7 @@ def test_iid_positive_law_fails_lift_swap():
 
 
 def test_measure_changed_swap_invariant_law_is_lift_swap_invariant():
-    changed = measure_change(SWAPPY, 0).result
+    changed = measure_change(SWAPPY, 0)
     rep = test_lift_swap_invariance(changed)
     assert rep.verdict and rep.mode == "exact"
 
@@ -307,16 +307,16 @@ def test_positivity_diagnostic_cases():
 
 def test_measure_change_examples():
     mc = measure_change(SWAPPY, 0)
-    assert mc.result.atoms.ravel().tolist() == [0.5, 2.0]
-    assert np.allclose(np.sort(mc.result.weights), [1.0 / 3.0, 2.0 / 3.0])
+    assert mc.atoms.ravel().tolist() == [0.5, 2.0]
+    assert np.allclose(np.sort(mc.weights), [1.0 / 3.0, 2.0 / 3.0])
 
     point = measure_change(DiscreteLaw([[3.0, 3.0]], [1.0]), 0)
-    assert point.result.atoms.tolist() == [[1.0]]
-    assert point.result.weights.tolist() == [1.0]
+    assert point.atoms.tolist() == [[1.0]]
+    assert point.weights.tolist() == [1.0]
 
     three = measure_change(DiscreteLaw([[1.0, 1.0, 2.0], [1.0, 2.0, 1.0]], [0.5, 0.5]), 0)
-    assert sorted(three.result.atoms.tolist()) == [[1.0, 2.0], [2.0, 1.0]]
-    assert np.allclose(three.result.weights, 0.5)
+    assert sorted(three.atoms.tolist()) == [[1.0, 2.0], [2.0, 1.0]]
+    assert np.allclose(three.weights, 0.5)
 
 
 def test_measure_change_rejects_non_positive_pivot():
@@ -347,9 +347,9 @@ def test_relations_theorem_d3_orbit():
     assert rep.per_pivot_exchangeable[0] and rep.per_pivot_exchangeable[1]
 
 
-def test_canonical_discrete_merges_duplicates():
+def test_merge_atoms_merges_duplicates():
     law = DiscreteLaw([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.25, 0.25, 0.5])
-    atoms, weights = canonical_discrete(law)
+    atoms, weights = merge_atoms(law.atoms, law.weights)
     assert atoms.shape == (2, 2)
     assert weights.sum() == pytest.approx(1.0)
     assert discrete_equal_in_distribution(law, DiscreteLaw([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]))

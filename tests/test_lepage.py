@@ -291,7 +291,7 @@ def test_cf_check_draws_the_support_sample_once():
     driver = SamplerLaw(2, sampler, symmetric=True)
     cfg = LePageConfig(driver, "sum", n_terms=50, paths=200, seed=12)
     us = [[0.5, 0.0], [0.0, 1.0], [1.0, -1.0]]
-    rep = cf_check(cfg, us, budget=7_777, n_boot=10)
+    rep = cf_check(cfg, us, budget=7_777)
     assert calls.count(7_777) == 1
     # E|<u, Z>| = |u| sqrt(2 / pi) for a standard normal Z
     truth = np.exp(-0.5 * math.pi * np.linalg.norm(us, axis=1) * math.sqrt(2.0 / math.pi))

@@ -348,6 +348,34 @@ def test_brown_resnick_requires_cov_or_certificate():
         brown_resnick_condition([0.0, 1.0], [0.0, -0.5], [0.0, 1.0])
 
 
+def _pairwise_lag_ok(times, cov, tol):
+    """The lag check as a loop over the i < j pairs: each variogram value against the first one at its lag."""
+    gamma = variogram(cov)
+    first, ok = {}, True
+    for i in range(len(times)):
+        for j in range(i + 1, len(times)):
+            lag = round(abs(times[i] - times[j]), 12)
+            if lag in first and abs(first[lag] - gamma[i, j]) > tol:
+                ok = False
+            first.setdefault(lag, gamma[i, j])
+    return ok
+
+
+def test_brown_resnick_lag_check_matches_the_pairwise_loop():
+    rng = as_rng(21)
+    outcomes = set()
+    for trial in range(80):
+        n = 1 if trial == 0 else int(rng.integers(2, 7))
+        times = rng.choice(np.arange(8) * 0.1, size=n, replace=False)  # lattice times: lags repeat, off by an ulp
+        noise = rng.standard_normal((n, n))
+        # Brownian covariance (a lag-only variogram), perturbed at, below or well above the tolerance
+        cov = np.minimum.outer(times, times) + rng.choice([0.0, 1e-10, 1e-6]) * (noise + noise.T)
+        rep = brown_resnick_condition(times, -0.5 * times, times, cov=cov)
+        assert rep.lag_ok is _pairwise_lag_ok(times, cov, 1e-9), (times, cov)
+        outcomes.add(rep.lag_ok)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # exp-triplet sampling (finite jump measures)
 # ---------------------------------------------------------------------------

@@ -572,35 +572,66 @@ def require_symmetric(law, pilot: int, rng, what: str) -> None:
         raise ValueError(f"{what} needs a symmetric law")
 
 
+def _cluster_roots(atoms: np.ndarray) -> np.ndarray:
+    """For lexicographically sorted atoms, the index of the first atom of each one's cluster.
+
+    Atoms joined by a chain of steps within _ATOM_TOL (max norm) are one
+    cluster, whatever their order.  Sorted atoms ascend in the first
+    coordinate, so each atom need only be held against the atoms after it
+    that lie within _ATOM_TOL in that coordinate.
+    """
+    root = list(range(atoms.shape[0]))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    reach = np.searchsorted(atoms[:, 0], atoms[:, 0] + _ATOM_TOL, side="right")
+    for i in range(atoms.shape[0] - 1):
+        near = np.abs(atoms[i + 1:reach[i]] - atoms[i]).max(axis=1) <= _ATOM_TOL
+        for j in i + 1 + np.flatnonzero(near):
+            a, b = sorted((find(i), find(int(j))))
+            root[b] = a
+    for i in range(len(root)):  # root[i] <= i, so one pass in order flattens every chain
+        root[i] = root[root[i]]
+    return np.array(root)
+
+
 def merge_atoms(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographically sorted atoms; an atom within _ATOM_TOL (max norm) of the
-    first atom of the run before it merges into that run by mass addition."""
+    """One atom per cluster of atoms within _ATOM_TOL of each other (``_cluster_roots``):
+    its lexicographically first atom, with the cluster's mass added in
+    lexicographic order; the merged atoms are sorted lexicographically."""
     if atoms.shape[0] == 0:
         return atoms, masses
     order = np.lexsort(atoms.T[::-1])
     atoms, masses = atoms[order], masses[order]
-    out_a, out_m = [atoms[0]], [masses[0]]
-    for a, m in zip(atoms[1:], masses[1:]):
-        if np.abs(a - out_a[-1]).max() <= _ATOM_TOL:
-            out_m[-1] += m
-        else:
-            out_a.append(a)
-            out_m.append(m)
-    return np.array(out_a), np.array(out_m)
+    root = _cluster_roots(atoms)
+    first = root == np.arange(root.size)
+    merged = masses.copy()
+    for i in np.flatnonzero(~first):
+        merged[root[i]] += masses[i]
+    return atoms[first], merged[first]
 
 
 def measures_close(atoms_a, masses_a, atoms_b, masses_b, mass_tol: float) -> bool:
-    """Whether two finite discrete measures agree once merged: same number of
-    atoms, atoms within _ATOM_TOL and masses within ``mass_tol``."""
+    """Whether two finite discrete measures agree once merged: clustered together
+    (``_cluster_roots``), the merged atoms of the two form pairs, one atom of
+    each within _ATOM_TOL of the other, whose masses lie within ``mass_tol``."""
     atoms_a, masses_a = merge_atoms(np.asarray(atoms_a, float), np.asarray(masses_a, float))
     atoms_b, masses_b = merge_atoms(np.asarray(atoms_b, float), np.asarray(masses_b, float))
     if atoms_a.shape != atoms_b.shape:
         return False
     if atoms_a.shape[0] == 0:
         return True
-    return bool(
-        np.abs(atoms_a - atoms_b).max() <= _ATOM_TOL and np.abs(masses_a - masses_b).max() <= mass_tol
-    )
+    both = np.concatenate([atoms_a, atoms_b])
+    order = np.lexsort(both.T[::-1])
+    root = _cluster_roots(both[order])
+    side = np.repeat([1.0, -1.0], atoms_a.shape[0])[order]
+    members = np.bincount(root)
+    gap = np.bincount(root, weights=side * np.concatenate([masses_a, masses_b])[order])
+    return bool((members[members > 0] == 2).all() and not np.bincount(root, weights=side).any()
+                and np.abs(gap).max() <= mass_tol)
 
 
 def permute_law(law, perm):

@@ -11,10 +11,13 @@ The kernel's reduction core also takes callables (``functional_moments``).
 The kernel reads its rows from a ``RowSource``: laws with a standard driver
 are drawn chunk by chunk as the kernel reads them (``law_rows``), so memory
 does not grow with the budget; other laws and given matrices are held whole.
+While the kernel reduces one chunk, a helper thread draws the next, the same
+rows in the same order on the caller's generator.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,7 +250,10 @@ def law_rows(n: int, rng, *laws) -> RowSource:
     A law with a standard driver (``driver_kind``) draws it one chunk at a
     time and maps it by ``sample_with_driver``, so its rows are bitwise those
     of ``law.sample(n, rng)`` and never held whole; several such laws, of one
-    driver kind, share each driver chunk (common random numbers).  Any other
+    driver kind, share each driver chunk (common random numbers).  A read of
+    several chunks draws the next one on a helper thread, under the caller's
+    numpy error state, while the caller reduces the current one; the draws
+    keep their order on ``rng``, and at most one chunk is ahead.  Any other
     law keeps the whole sample, drawn at the first read.
     """
     kind = laws[0].driver_kind
@@ -256,10 +262,23 @@ def law_rows(n: int, rng, *laws) -> RowSource:
         return RowSource(n, 1, lambda sizes: matrix_rows(law.sample(n, rng)).read(sizes))
     dim = laws[0].dim
 
-    def read(sizes):
-        for r in sizes:
+    def draw(r, errors):
+        with np.errstate(**errors):  # numpy keeps the error state per thread
             driver = draw_driver(kind, r, dim, rng)
-            yield tuple(law.sample_with_driver(driver) for law in laws)
+            return tuple(law.sample_with_driver(driver) for law in laws)
+
+    def read(sizes):
+        errors = np.geterr()
+        if len(sizes) < 2:
+            yield from (draw(r, errors) for r in sizes)
+            return
+        with ThreadPoolExecutor(max_workers=1) as helper:  # shut down, after any draw in flight, on close
+            ahead = helper.submit(draw, sizes[0], errors)
+            for r in sizes[1:]:
+                chunk = ahead.result()
+                ahead = helper.submit(draw, r, errors)
+                yield chunk
+            yield ahead.result()
 
     return RowSource(n, len(laws), read)
 

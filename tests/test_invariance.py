@@ -360,6 +360,20 @@ def test_exchangeability_detection():
     assert not is_exchangeable_discrete(DiscreteLaw([[1.0, 2.0]], [1.0]))
 
 
+def test_discrete_verdicts_pair_atoms_by_distance_not_by_lexicographic_position():
+    # the 1e-12 offset puts (1e-12, .) after (0, .), which its permuted or unjittered twin does not
+    assert is_exchangeable_discrete(DiscreteLaw([[1e-12, 0.0], [0.0, 5.0], [5.0, 0.0]], [1 / 3] * 3))
+    assert discrete_equal_in_distribution(DiscreteLaw([[1e-12, -1.0], [0.0, 0.0], [0.0, 1.0]], [1 / 3] * 3),
+                                          DiscreteLaw([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]], [1 / 3] * 3))
+
+
+def test_merge_atoms_joins_a_chain_of_atoms_within_the_tolerance():
+    atoms, masses = merge_atoms(np.array([[1.6e-9, 0.0], [0.0, 0.0], [0.8e-9, 5e-10], [3.0, 0.0]]),
+                                np.array([0.1, 0.2, 0.3, 0.4]))
+    assert atoms.tolist() == [[0.0, 0.0], [3.0, 0.0]]
+    assert masses.tolist() == [0.2 + 0.3 + 0.1, 0.4]
+
+
 # ---------------------------------------------------------------------------
 # zonoid stationarity
 # ---------------------------------------------------------------------------

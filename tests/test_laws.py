@@ -24,6 +24,8 @@ from zonoids.laws import (
     dacunha_prefix_law,
     law_from_json,
     lognormal_swap_law,
+    measures_close,
+    merge_atoms,
     permute_law,
     rademacher_law,
     sample,
@@ -272,6 +274,8 @@ SYMMETRY = [
     (SamplerLaw(1, lambda rng, n: rng.random(n)), None),
     # N(0, 4) in law, yet no closed form decides it
     (law_from_json(JSON_DOCS[4] | {"location": 0.0}), None),
+    # an offset far below the atom tolerance reorders the atoms lexicographically
+    (DiscreteLaw([[1e-12, -1.0], [0.0, 0.0], [0.0, 1.0]], [1 / 3] * 3), True),
 ]
 
 
@@ -437,3 +441,19 @@ CHI_MEANS = {
 def test_chi_radial_mean_against_reference(dof):
     want = CHI_MEANS[dof]
     assert abs(_chi_law(dof).radial_mean - want) <= 1e-14 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_measures_within_the_atom_tolerance_are_close_whatever_the_atom_order(d, k, seed):
+    rng = np.random.default_rng(seed)
+    atoms = rng.integers(-3, 4, size=(k, d)) * 1e-6  # distinct grid atoms lie at least 1e-6 apart
+    masses = rng.random(k) + 0.1
+    distinct = np.unique(atoms, axis=0).shape[0]
+    assert merge_atoms(atoms, masses)[0].shape[0] == distinct
+    shuffled = rng.permutation(k)
+    jittered = atoms[shuffled] + rng.uniform(-1e-12, 1e-12, size=(k, d))
+    assert measures_close(atoms, masses, jittered, masses[shuffled], mass_tol=1e-12)
+    moved = atoms.copy()
+    moved[0, rng.integers(d)] += 1e-6
+    assert not measures_close(atoms, masses, moved, masses, mass_tol=1e-12)

@@ -2,8 +2,12 @@
 
 Laws with a standard driver are drawn chunk by chunk as the kernel reads them,
 so the memory of a Monte Carlo verdict does not grow with the budget; the rows
-and every number are those of the sample drawn at once.
+and every number are those of the sample drawn at once.  A read of several
+chunks draws the next one on a helper thread; the last tests pin what the
+caller sees of it: the generator's state, exceptions, threads and numpy's
+error state.
 """
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +19,7 @@ from zonoids.invariance import (test_even_homogeneous, test_lift_swap_invariance
                                 test_zonoid_equiv)
 from zonoids.laws import DiscreteLaw, EllipticalLaw, GaussianLaw, LognormalLaw, SamplerLaw
 from zonoids.rng import as_rng
-from zonoids.zonoid import DirectionGrid, projection_moments, support_at
+from zonoids.zonoid import DirectionGrid, law_rows, projection_moments, support_at
 
 LN_A = LognormalLaw(GaussianLaw([-0.5, -0.5], np.eye(2)))
 LN_B = LognormalLaw(GaussianLaw([-1.0, -1.0], [[2.0, 1.0], [1.0, 2.0]]))
@@ -108,3 +112,72 @@ def test_streamed_numbers_equal_one_chunk_numbers(name, monkeypatch):
     streamed = _numbers(CALLS[name](n))
     monkeypatch.setattr(zonoid_mod, "_CHUNK_MIN_ROWS", 10**9)  # the whole sample in one chunk, as drawn at once
     assert _numbers(CALLS[name](n)) == streamed
+
+
+FLOOR = zonoid_mod._CHUNK_MIN_ROWS
+
+
+@pytest.mark.parametrize("laws", [(LN_A,), (LN_A, LN_B), (DISCRETE_A,)], ids=["one", "crn", "uniform-driver"])
+def test_a_full_read_leaves_the_generator_where_one_sample_leaves_it(laws):
+    n = 7 * FLOOR + 1001
+    rng = as_rng(5)
+    source = law_rows(n, rng, *laws)
+    assert len(zonoid_mod._chunk_sizes(n, 1000)) > 2
+    assert sum(block[0].shape[0] for _, block in source.blocks(1000)) == n
+    alone = as_rng(5)
+    laws[0].sample(n, alone)
+    assert rng.bit_generator.state == alone.bit_generator.state
+
+
+class _Boom(Exception):
+    pass
+
+
+class _FailsOnChunk:
+    """A normal-driver law whose ``fail_at``-th map (1-based; 0 for none) raises ``_Boom``."""
+
+    driver_kind = "normal"
+    dim = 2
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def sample_with_driver(self, z):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise _Boom(f"chunk {self.calls}")
+        return z
+
+
+def test_a_helper_exception_reaches_the_caller_at_its_chunk_and_no_thread_outlives_a_read():
+    baseline = threading.active_count()
+    sizes = [FLOOR] * 5
+    assert len(list(law_rows(sum(sizes), as_rng(0), _FailsOnChunk(0)).read(sizes))) == 5
+    assert threading.active_count() == baseline
+
+    got = []
+    with pytest.raises(_Boom, match="chunk 3"):
+        for chunk in law_rows(sum(sizes), as_rng(0), _FailsOnChunk(3)).read(sizes):
+            got.append(chunk)
+    assert len(got) == 2
+    assert threading.active_count() == baseline
+
+    reading = law_rows(sum(sizes), as_rng(0), LN_A).read(sizes)
+    next(reading)
+    assert threading.active_count() == baseline + 1  # the helper, drawing the second chunk
+    reading.close()
+    assert threading.active_count() == baseline
+
+
+def test_the_helper_draws_under_the_callers_numpy_error_state():
+    overflowing = LognormalLaw(GaussianLaw([800.0, 0.0], np.eye(2)))  # exp(800) overflows
+    sizes = [FLOOR] * 3
+    with pytest.raises(RuntimeWarning, match="overflow"):  # warns by default; pytest makes it an error
+        list(law_rows(sum(sizes), as_rng(0), overflowing).read(sizes))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            list(law_rows(sum(sizes), as_rng(0), overflowing).read(sizes))
+    with np.errstate(over="ignore"):
+        chunks = list(law_rows(sum(sizes), as_rng(0), overflowing).read(sizes))
+    assert len(chunks) == 3 and np.isinf(chunks[-1][0][:, 0]).all()

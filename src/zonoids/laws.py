@@ -608,10 +608,7 @@ def merge_atoms(atoms: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     atoms, masses = atoms[order], masses[order]
     root = _cluster_roots(atoms)
     first = root == np.arange(root.size)
-    merged = masses.copy()
-    for i in np.flatnonzero(~first):
-        merged[root[i]] += masses[i]
-    return atoms[first], merged[first]
+    return atoms[first], np.bincount(root, weights=masses)[np.flatnonzero(first)]
 
 
 def measures_close(atoms_a, masses_a, atoms_b, masses_b, mass_tol: float) -> bool:

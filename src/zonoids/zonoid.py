@@ -250,10 +250,10 @@ def law_rows(n: int, rng, *laws) -> RowSource:
     A law with a standard driver (``driver_kind``) draws it one chunk at a
     time and maps it by ``sample_with_driver``, so its rows are bitwise those
     of ``law.sample(n, rng)`` and never held whole; several such laws, of one
-    driver kind, share each driver chunk (common random numbers).  A read of
-    several chunks draws the next one on a helper thread, under the caller's
-    numpy error state, while the caller reduces the current one; the draws
-    keep their order on ``rng``, and at most one chunk is ahead.  Any other
+    driver kind, share each driver chunk (common random numbers).  A read
+    draws its chunks on a helper thread, under the caller's numpy error
+    state, each one while the caller reduces the one before; the draws keep
+    their order on ``rng``, and at most one chunk is ahead.  Any other
     law keeps the whole sample, drawn at the first read.
     """
     kind = laws[0].driver_kind
@@ -269,9 +269,6 @@ def law_rows(n: int, rng, *laws) -> RowSource:
 
     def read(sizes):
         errors = np.geterr()
-        if len(sizes) < 2:
-            yield from (draw(r, errors) for r in sizes)
-            return
         with ThreadPoolExecutor(max_workers=1) as helper:  # shut down, after any draw in flight, on close
             ahead = helper.submit(draw, sizes[0], errors)
             for r in sizes[1:]:

@@ -2,8 +2,8 @@
 
 Laws with a standard driver are drawn chunk by chunk as the kernel reads them,
 so the memory of a Monte Carlo verdict does not grow with the budget; the rows
-and every number are those of the sample drawn at once.  A read of several
-chunks draws the next one on a helper thread; the last tests pin what the
+and every number are those of the sample drawn at once.  A read draws its
+chunks on a helper thread, one ahead of the caller; the last tests pin what the
 caller sees of it: the generator's state, exceptions, threads and numpy's
 error state.
 """
